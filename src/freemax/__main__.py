@@ -1,0 +1,5 @@
+"""``python -m freemax``: the batch CLI."""
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -43,8 +43,6 @@ __all__ = [
     "balkema_de_haan_check",
 ]
 
-#: Quadrature is truncated where the tail drops below this level.
-TAIL_FLOOR = 1e-15
 QUAD_TOL = 1e-10
 
 
@@ -109,9 +107,10 @@ class ThresholdRow(NamedTuple):
 def mean_excess(f: Cdf, t: float) -> float:
     """g(t) = integral of the tail over (t, omega) divided by the tail at t.
 
-    Adaptive quadrature at absolute tolerance 1e-10; for laws with an
-    infinite endpoint the integral is truncated where the tail falls
-    below 1e-15.
+    Adaptive quadrature, on (t, inf) directly for laws with an infinite
+    endpoint, at relative tolerance 1e-10 and an absolute tolerance of
+    1e-10 times the tail at t, so that g keeps its relative accuracy
+    however small the tail at t is.
     """
     t = float(t)
     if t >= f.omega:
@@ -119,16 +118,8 @@ def mean_excess(f: Cdf, t: float) -> float:
     tail_t = f.tail(t)
     if not tail_t > 0.0:
         raise CdfError("mean excess undefined where the tail vanishes")
-    if math.isfinite(f.omega):
-        upper = f.omega
-    else:
-        upper = f.quantile(1.0 - TAIL_FLOOR)
-        if not math.isfinite(upper):
-            upper = t + 1.0
-            while f.tail(upper) > TAIL_FLOOR and upper < 1e100:
-                upper *= 2.0
     total, _ = integrate.quad(
-        lambda s: float(f.tail(s)), t, upper, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400
+        f.tail, t, f.omega, epsabs=QUAD_TOL * tail_t, epsrel=QUAD_TOL, limit=400
     )
     return float(total / tail_t)
 

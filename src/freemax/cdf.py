@@ -105,9 +105,6 @@ class Cdf:
     pure, so concurrent reads are safe.
     """
 
-    #: implementation tag: "parametric" | "stepped" | "derived"
-    backend = "derived"
-
     def __init__(self):
         self._alpha_cache = math.nan
         self._omega_cache = math.nan
@@ -241,8 +238,6 @@ class SteppedCdf(Cdf):
     below the first breakpoint.
     """
 
-    backend = "stepped"
-
     def __init__(self, xs, values, interpolation: str = "constant"):
         super().__init__()
         xs = _as_float_array(xs).ravel()
@@ -317,8 +312,6 @@ class SteppedCdf(Cdf):
 
 class FunctionCdf(Cdf):
     """CDF defined by explicit callables (parametric or ad hoc laws)."""
-
-    backend = "parametric"
 
     def __init__(
         self,

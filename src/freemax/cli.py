@@ -487,7 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=500)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--dump-eigs", help="write first subset's eigenvalues to CSV")
+    p.add_argument("--dump-eigs", help="write to CSV the eigenvalues of the first subset's "
+                   "matrix drawn with --seed itself, which no trial uses "
+                   "(trial t draws with a seed derived from --seed and t)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_poisson)
 
@@ -513,3 +515,7 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -119,8 +119,6 @@ class LawSpec:
 # canonical laws
 # ----------------------------------------------------------------------
 class UniformCdf(Cdf):
-    backend = "parametric"
-
     def __init__(self, lo: float = 0.0, hi: float = 1.0):
         super().__init__()
         if not hi > lo:
@@ -156,8 +154,6 @@ class UniformCdf(Cdf):
 class ExponentialCdf(Cdf):
     """Standard exponential: the canonical free Type I law."""
 
-    backend = "parametric"
-
     def __init__(self):
         super().__init__()
         self._alpha_cache = 0.0
@@ -175,8 +171,6 @@ class ExponentialCdf(Cdf):
 
 class ParetoCdf(Cdf):
     """Pareto law 1 - x^(-alpha) on [1, inf): the canonical free Type II."""
-
-    backend = "parametric"
 
     def __init__(self, alpha: float):
         super().__init__()
@@ -201,8 +195,6 @@ class ParetoCdf(Cdf):
 
 class BetaPowerCdf(Cdf):
     """Beta-type law 1 - |x|^alpha on [-1, 0]: the canonical free Type III."""
-
-    backend = "parametric"
 
     def __init__(self, alpha: float):
         super().__init__()
@@ -235,8 +227,6 @@ class BetaPowerCdf(Cdf):
 class GpdCdf(Cdf):
     """Standard generalized Pareto law with shape gamma (exponential at 0)."""
 
-    backend = "parametric"
-
     def __init__(self, gamma: float):
         super().__init__()
         self.gamma = float(gamma)
@@ -266,8 +256,6 @@ class GpdCdf(Cdf):
 
 
 class GumbelCdf(Cdf):
-    backend = "parametric"
-
     def _value(self, x):
         return np.exp(-np.exp(-x))
 
@@ -280,8 +268,6 @@ class GumbelCdf(Cdf):
 
 
 class FrechetCdf(Cdf):
-    backend = "parametric"
-
     def __init__(self, alpha: float):
         super().__init__()
         if not alpha > 0:
@@ -308,8 +294,6 @@ class FrechetCdf(Cdf):
 class WeibullCdf(Cdf):
     """Classical (reverse) Weibull extreme-value law on (-inf, 0]."""
 
-    backend = "parametric"
-
     def __init__(self, alpha: float):
         super().__init__()
         if not alpha > 0:
@@ -334,8 +318,6 @@ class WeibullCdf(Cdf):
 
 
 class StdNormalCdf(Cdf):
-    backend = "parametric"
-
     def _value(self, x):
         return special.ndtr(x)
 

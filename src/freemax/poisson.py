@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from .cdf import Cdf, CdfError, ks_distance
 from .spectral import (
@@ -120,6 +119,19 @@ def _atom_block(partition: Partition, index: int, count: int, n: int, seed: Seed
     return rng.standard_normal((n, count)) / math.sqrt(n)
 
 
+def _subset_blocks(partition: Partition, subset: Iterable[str], n: int, seed: SeedLike) -> list:
+    """The subset's atom blocks in partition order; atoms without columns own none."""
+    if n < 8:
+        raise CdfError("free Poisson sampling needs N >= 8")
+    chosen = partition._validate(subset)
+    counts = partition.column_counts(n)
+    return [
+        _atom_block(partition, index, counts[atom_id], n, seed)
+        for index, (atom_id, _) in enumerate(partition.atoms)
+        if atom_id in chosen and counts[atom_id] > 0
+    ]
+
+
 def sample_free_poisson_matrix(
     partition: Partition, subset: Iterable[str], n: int, seed: SeedLike
 ) -> HermitianMatrix:
@@ -130,18 +142,8 @@ def sample_free_poisson_matrix(
     process is additive over them (bitwise so whenever the accumulation
     trees coincide, e.g. singleton unions; always so up to roundoff).
     """
-    if n < 8:
-        raise CdfError("free Poisson sampling needs N >= 8")
-    chosen = partition._validate(subset)
-    counts = partition.column_counts(n)
     total = np.zeros((n, n))
-    for index, (atom_id, _) in enumerate(partition.atoms):
-        if atom_id not in chosen:
-            continue
-        c = counts[atom_id]
-        if c == 0:
-            continue
-        block = _atom_block(partition, index, c, n, seed)
+    for block in _subset_blocks(partition, subset, n, seed):
         total = total + block @ block.T
     return HermitianMatrix(total)
 
@@ -167,11 +169,12 @@ class MpCdf(Cdf):
     """Free Poisson (Marchenko-Pastur) law with rate a and jump size 1.
 
     Atom max(0, 1-a) at zero plus the semicircle-type density
-    sqrt((lam+ - x)(x - lam-)) / (2 pi x) on [(1-sqrt a)^2, (1+sqrt a)^2],
-    integrated by adaptive quadrature.
+    sqrt((lam+ - x)(x - lam-)) / (2 pi x) on [(1-sqrt a)^2, (1+sqrt a)^2].
+    The CDF is the density's elementary antiderivative: with c, d the
+    centre and half-width of the support and r = sqrt((lam+ - t)(t - lam-)),
+    r + c asin((t - c)/d) - sqrt(lam- lam+) asin((c t - lam- lam+)/(d t)),
+    divided by 2 pi, taken from lam- to x.
     """
-
-    backend = "parametric"
 
     def __init__(self, a_param: float):
         super().__init__()
@@ -192,39 +195,18 @@ class MpCdf(Cdf):
         out = np.sqrt(np.clip((self.lam_plus - safe) * (safe - self.lam_minus), 0.0, None))
         return np.where(inside, out / (2.0 * math.pi * safe), 0.0)
 
-    def _segment(self, lo: float, hi: float) -> float:
-        if hi <= lo:
-            return 0.0
-        val, _ = integrate.quad(
-            lambda s: float(self.density(np.asarray(s))),
-            lo,
-            hi,
-            epsabs=1e-10,
-            epsrel=1e-10,
-            limit=200,
-        )
-        return float(val)
-
     def _value(self, x):
-        flat = np.ravel(x)
-        order = np.argsort(flat, kind="stable")
-        out = np.empty_like(flat)
-        acc = 0.0
-        prev = self.lam_minus
-        for pos in order:
-            xi = flat[pos]
-            if xi < 0.0:
-                out[pos] = 0.0
-                continue
-            if xi >= self.lam_plus:
-                out[pos] = 1.0
-                continue
-            hi = min(max(xi, self.lam_minus), self.lam_plus)
-            if hi > prev:
-                acc += self._segment(prev, hi)
-                prev = hi
-            out[pos] = min(self.atom + acc, 1.0)
-        return out.reshape(np.shape(x))
+        a, b = self.lam_minus, self.lam_plus
+        c, d, sab = 0.5 * (a + b), 0.5 * (b - a), math.sqrt(a * b)
+        t = np.clip(x, a, b)
+        prim = np.sqrt(np.clip((b - t) * (t - a), 0.0, None))
+        prim = prim + c * np.arcsin(np.clip((t - c) / d, -1.0, 1.0))
+        if sab > 0.0:  # at rate 1, a = 0: the term vanishes and t may be 0
+            prim = prim - sab * np.arcsin(np.clip((c * t - a * b) / (d * t), -1.0, 1.0))
+        # the antiderivative at the lower edge is -(pi/2)(c - sqrt(ab))
+        cont = (prim + 0.5 * math.pi * (c - sab)) / (2.0 * math.pi)
+        inside = np.clip(self.atom + cont, self.atom, 1.0)
+        return np.select([x < 0.0, x < a, x >= b], [0.0, self.atom, 1.0], inside)
 
     def _left(self, x):
         vals = self._value(x)
@@ -257,8 +239,6 @@ class TriangularCdf(Cdf):
     uniform density m on (0, 1) when m <= 1, uniform on [1 - 1/m, 1]
     when m > 1.
     """
-
-    backend = "parametric"
 
     def __init__(self, m: float):
         super().__init__()
@@ -374,13 +354,30 @@ class ProcessReport:
         }
 
 
-def _subset_rank(partition, subset, n, seed) -> tuple[int, np.ndarray]:
-    pi = sample_free_poisson_matrix(partition, subset, n, seed)
-    lam = pi.eigenvalues
-    lam_max = float(lam[-1])
-    if lam_max <= 0.0:
-        return 0, lam
-    return int(np.count_nonzero(lam > RANGE_TOL * lam_max)), lam
+def _gram_eigenvalues(blocks: list) -> np.ndarray:
+    """Eigenvalues of sum_j B_j B_j^T from the smaller Gram matrix.
+
+    With Gamma the blocks side by side (N x C), Gamma^T Gamma and
+    Gamma Gamma^T share their nonzero eigenvalues; when C < N the C x C
+    side is solved, which drops N - C zeros but no range direction.
+    """
+    if not blocks:
+        return np.zeros(0)
+    gamma = np.hstack(blocks)
+    n, c = gamma.shape
+    gram = gamma.T @ gamma if c < n else gamma @ gamma.T
+    return np.linalg.eigvalsh(gram)
+
+
+def _range_mask(values: np.ndarray) -> np.ndarray:
+    """Eigenvalues that count as range directions: above RANGE_TOL * max."""
+    return values > RANGE_TOL * values.max(initial=0.0)
+
+
+def _block_range(block: np.ndarray) -> Projection:
+    """Range of B B^T: left singular vectors of B with s^2 above RANGE_TOL * s_max^2."""
+    u, s, _ = np.linalg.svd(block, full_matrices=False)
+    return Projection(u[:, _range_mask(s * s)], dim=block.shape[0])
 
 
 def extremal_process_report(
@@ -415,22 +412,19 @@ def extremal_process_report(
         cond = law.conditional_nonzero() if law is not None else None
         taus = []
         ks_vals = []
-        for t in range(trials):
-            trial_seed = derive_seed(seed, t)
-            rank, lam = _subset_rank(partition, subset, n, trial_seed)
-            taus.append(rank / n)
-            if cond is not None and rank > 0:
-                nonzero = lam[lam > RANGE_TOL * float(lam[-1])]
-                ks_vals.append(ks_distance(nonzero, cond))
         join_ok = True
-        if len(subset) > 1:
-            trial_seed = derive_seed(seed, 0)
-            whole = sample_free_poisson_matrix(partition, subset, n, trial_seed)
-            joined = None
-            for atom in subset:
-                y = range_projection(sample_free_poisson_matrix(partition, [atom], n, trial_seed))
-                joined = y if joined is None else proj_join(joined, y)
-            join_ok = bool(range_projection(whole).rank == joined.rank)
+        for t in range(trials):
+            blocks = _subset_blocks(partition, subset, n, derive_seed(seed, t))
+            lam = _gram_eigenvalues(blocks)
+            nonzero = lam[_range_mask(lam)]
+            taus.append(nonzero.size / n)
+            if cond is not None and nonzero.size:
+                ks_vals.append(ks_distance(nonzero, cond))
+            if t == 0 and len(subset) > 1:
+                joined = Projection.zero(n)
+                for block in blocks:
+                    joined = proj_join(joined, _block_range(block))
+                join_ok = nonzero.size == joined.rank
         return ProcessRecord(
             subset=subset,
             n_dim=n,

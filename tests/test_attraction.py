@@ -52,6 +52,24 @@ def test_mean_excess_normal_at_four():
     assert g == pytest.approx(closed, abs=1e-9)
 
 
+def test_mean_excess_exponential_at_far_threshold():
+    # relative accuracy holds where the tail is small: u_n = ln n at n = 1e6
+    f = ExponentialCdf()
+    n = 1_000_000
+    c = norming_constants(f, n, LawKind.FREE_TYPE_I)
+    assert abs(c.a_n - 1.0) <= 1e-13
+    limit = make_law(LawSpec(LawKind.FREE_TYPE_I))
+    grid = np.linspace(-5.0, 20.0, 2001)
+    (row,) = convergence_report(f, limit, [c], grid)
+    assert row.sup_distance <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.5, 3.0])
+def test_mean_excess_pareto_is_linear(alpha):
+    # heavy tails: g(t) = t / (alpha - 1) for the Pareto law
+    assert mean_excess(ParetoCdf(alpha), 10.0) == pytest.approx(10.0 / (alpha - 1.0), rel=1e-9)
+
+
 def test_mean_excess_rejects_beyond_support():
     with pytest.raises(CdfError):
         mean_excess(UniformCdf(), 1.0)

@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import freemax
 from freemax.cli import EXIT_INPUT, EXIT_LAW, EXIT_USAGE, dispatch
 
 
@@ -228,6 +232,22 @@ def test_byte_identical_reruns(tmp_path, monkeypatch):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("module", ["freemax", "freemax.cli"])
+def test_module_entry_points_run_the_cli(module):
+    src = os.path.dirname(os.path.dirname(freemax.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "law", "--law", '{"kind":"Uniform"}', "--grid", "0,1,3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "x,F\n0.0,0.0\n0.5,0.5\n1.0,1.0\n"
+    bad = subprocess.run([sys.executable, "-m", module, "frobnicate"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert bad.returncode == EXIT_USAGE
+    assert json.loads(bad.stderr)["error"]["code"] == EXIT_USAGE
 
 
 def test_unknown_subcommand_error(capsys):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from freemax.cdf import CdfError, free_max_conv, ks_distance, sup_distance
 from freemax.poisson import (
@@ -160,6 +161,29 @@ def test_mp_rejects_bad_rate():
         mp_cdf(0.0)
 
 
+@pytest.mark.parametrize("rate", [0.1, 0.25, 0.5, 1.0, 2.0, 3.0])
+def test_mp_closed_form_matches_quadrature(rate):
+    law = mp_cdf(rate)
+    lo, hi = law.lam_minus, law.lam_plus
+    xs = np.concatenate([[-1.0, -1e-12, 0.0, lo, hi, hi + 1e-12, hi + 3.0],
+                         np.linspace(lo, hi, 41)])
+
+    def reference(x):
+        if x < 0.0:
+            return 0.0
+        top = min(max(x, lo), hi)
+        mass, _ = integrate.quad(lambda s: float(law.density(s)), lo, top,
+                                 epsabs=1e-13, epsrel=1e-13, limit=400)
+        return law.atom + mass
+
+    want = np.array([reference(x) for x in xs])
+    assert np.max(np.abs(law.value(xs) - want)) <= 1e-8
+
+
+def test_mp_unit_rate_has_no_mass_at_zero():
+    assert mp_cdf(1.0).value(0.0) == 0.0
+
+
 def test_triangular_law_examples():
     assert triangular_law_cdf(0.5).tail(0.5) == pytest.approx(0.25)
     two = triangular_law_cdf(2.0)
@@ -246,6 +270,27 @@ def test_process_report_saturation():
     report = extremal_process_report(part, [["a", "b"]], 200, 3, 9)
     assert report.records[0].expected == 1.0
     assert report.records[0].tau_y == pytest.approx(1.0, abs=0.02)
+
+
+def test_process_report_matches_matrix_path():
+    # rank-deficient (mass < 1), saturated (mass > 1) and zero-column subsets
+    n, trials, seed = 200, 2, 31
+    part = Partition.from_pairs([("a", 0.3), ("b", 0.45), ("c", 0.6), ("z", 0.0)])
+    subsets = [("a", "b"), ("a", "b", "c"), ("z",), ("a", "z"), ("b", "c")]
+    report = extremal_process_report(part, subsets, n, trials, seed)
+    for record, subset in zip(report.records, subsets):
+        ranks = [
+            range_projection(sample_free_poisson_matrix(part, subset, n, derive_seed(seed, t))).rank
+            for t in range(trials)
+        ]
+        assert record.tau_y == float(np.mean([r / n for r in ranks]))
+        first = derive_seed(seed, 0)
+        joined = range_projection(sample_free_poisson_matrix(part, [subset[0]], n, first))
+        for atom in subset[1:]:
+            joined = proj_join(
+                joined, range_projection(sample_free_poisson_matrix(part, [atom], n, first)))
+        assert record.join_additivity_ok is (len(subset) < 2 or joined.rank == ranks[0])
+    assert [r.tau_y for r in report.records] == [0.75, 1.0, 0.0, 0.3, 1.0]
 
 
 def test_process_report_deterministic():
