@@ -20,6 +20,7 @@ from scipy import integrate, optimize
 from .cdf import (
     Cdf,
     CdfError,
+    _monotone_inf,
     comparison_grid,
     exceedance_cdf,
     free_max_iterate,
@@ -28,7 +29,6 @@ from .cdf import (
     threshold_un,
 )
 from .laws import GpdCdf, LawKind
-from .util import parallel_map
 
 __all__ = [
     "NormingConstants",
@@ -110,7 +110,8 @@ def mean_excess(f: Cdf, t: float) -> float:
     Adaptive quadrature, on (t, inf) directly for laws with an infinite
     endpoint, at relative tolerance 1e-10 and an absolute tolerance of
     1e-10 times the tail at t, so that g keeps its relative accuracy
-    however small the tail at t is.
+    however small the tail at t is.  Raises ``CdfError`` when quadrature
+    reports failure, as it does for a divergent integral (infinite mean).
     """
     t = float(t)
     if t >= f.omega:
@@ -118,9 +119,15 @@ def mean_excess(f: Cdf, t: float) -> float:
     tail_t = f.tail(t)
     if not tail_t > 0.0:
         raise CdfError("mean excess undefined where the tail vanishes")
-    total, _ = integrate.quad(
-        f.tail, t, f.omega, epsabs=QUAD_TOL * tail_t, epsrel=QUAD_TOL, limit=400
+    total, _, _, *failure = integrate.quad(
+        f.tail, t, f.omega, epsabs=QUAD_TOL * tail_t, epsrel=QUAD_TOL, limit=400,
+        full_output=1,
     )
+    if failure:
+        # the tail integral diverges (infinite mean) or quad cannot reach
+        # the tolerance: either way the number is not a mean excess
+        reason = failure[0].splitlines()[0]
+        raise CdfError(f"mean excess integral failed at t={t}: {reason}")
     return float(total / tail_t)
 
 
@@ -144,8 +151,6 @@ def norming_constants(f: Cdf, n: int, kind: LawKind) -> NormingConstants:
             raise CdfError("Type III norming requires a finite upper endpoint")
         # bisect in the endpoint gap h = omega - t: the direct difference
         # omega - u_n would cancel to absolute (not relative) precision
-        from .cdf import _monotone_inf
-
         gap = _monotone_inf(lambda h: float(f.tail_gap(h)) >= 1.0 / n, 0.0, 1.0)
         return NormingConstants(n, gap, omega, "TypeIII_endpoint")
     raise CdfError(f"{kind.value} is not a free extreme-value type")
@@ -165,8 +170,7 @@ def convergence_report(
         composed = rescale(free_max_iterate(f, c.n), c.a_n, c.b_n)
         return ConvergenceRow(c.n, c.a_n, c.b_n, sup_distance(composed, g, grid))
 
-    rows = parallel_map(one, sorted(constants, key=lambda c: c.n))
-    return rows
+    return [one(c) for c in sorted(constants, key=lambda c: c.n)]
 
 
 # ----------------------------------------------------------------------
@@ -215,66 +219,31 @@ def rv_check(
 # ----------------------------------------------------------------------
 # generalized Pareto fitting (peaks over threshold)
 # ----------------------------------------------------------------------
-def _gpd_loglik(x: np.ndarray, gamma: float, sigma: float) -> float:
-    n = x.size
-    if not sigma > 0:
-        return -math.inf
-    if abs(gamma) < 1e-12:
-        return -n * math.log(sigma) - float(np.sum(x)) / sigma
-    z = gamma * x / sigma
-    if np.any(z <= -1.0):
-        return -math.inf
-    return -n * math.log(sigma) - (1.0 + 1.0 / gamma) * float(np.sum(np.log1p(z)))
-
-
-def _profile_sigma(x: np.ndarray, gamma: float, xatol: float = 1e-10) -> tuple[float, float]:
-    """Best sigma for fixed gamma, by bounded search over log sigma."""
-    mean = float(np.mean(x))
-    if abs(gamma) < 1e-12:
-        sigma = mean
-        return _gpd_loglik(x, 0.0, sigma), sigma
-    if gamma < 0:
-        # keep the support constraint strict so the likelihood stays bounded
-        lo = math.log(abs(gamma) * float(np.max(x)) * (1.0 + 1e-8))
-        hi = max(lo + 1e-6, math.log(mean) + 20.0)
-    else:
-        lo = math.log(mean) - 20.0
-        hi = math.log(mean) + 20.0
-    res = optimize.minimize_scalar(
-        lambda ls: -_gpd_loglik(x, gamma, math.exp(ls)),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": xatol},
-    )
-    sigma = math.exp(float(res.x))
-    return _gpd_loglik(x, gamma, sigma), sigma
-
-
-def _pwm_start(x: np.ndarray) -> tuple[float, float]:
-    """Probability-weighted-moments starting point for (gamma, sigma)."""
-    xs = np.sort(x)
-    n = xs.size
-    a0 = float(np.mean(xs))
-    weights = 1.0 - (np.arange(1, n + 1) - 0.35) / n
-    a1 = float(np.mean(weights * xs))
-    denom = a0 - 2.0 * a1
-    if denom <= 0:
-        return 0.0, a0
-    gamma = 2.0 - a0 / denom
-    sigma = 2.0 * a0 * a1 / denom
-    return float(np.clip(gamma, -4.9, 4.9)), max(sigma, 1e-12)
-
-
 def fit_gpd(exceedances: Sequence[float]) -> GpdFit:
-    """Maximum-likelihood GPD fit over gamma in [-5, 5], sigma profiled out.
+    """Maximum-likelihood GPD fit by a one-dimensional profile in theta = gamma/sigma.
 
-    Deterministic: a coarse profile scan (seeded with the PWM estimate) is
-    refined by bounded scalar optimization; exact ties are broken toward
-    the smaller |gamma|.
+    For fixed theta the likelihood is maximized in closed form by
+    gamma(theta) = mean(log1p(theta x)), sigma = gamma/theta, with
+    log-likelihood -n (log sigma + 1 + gamma); theta = 0 is the exponential
+    fit sigma = mean(x) (Grimshaw 1993).  The search variable is
+    w = log1p(theta max x), limited to the constraint set
+
+    * gamma in [-5, 5] (gamma(theta) increases with theta, so both ends
+      are bracketed by root finding), and
+    * for gamma < 0, the support margin sigma >= |gamma| max x (1 + 1e-8),
+      i.e. w >= log1p(-1/(1 + 1e-8)), which keeps the likelihood bounded.
+
+    Deterministic: one coarse scan over w is refined by one bounded scalar
+    search between the neighbours of the best scan point.  Among the best
+    scan point, the refined point and theta = 0, those within
+    1e-9 (1 + |l|) of the best log-likelihood l are ties, broken toward the
+    smallest |gamma|.
     """
     x = np.asarray(exceedances, dtype=float).ravel()
     if x.size < 20:
         raise CdfError("fit_gpd needs at least 20 exceedances")
+    if not np.all(np.isfinite(x)):
+        raise CdfError("exceedances must be finite")
     if np.any(x < 0):
         raise CdfError("exceedances must be nonnegative")
     if float(np.max(x)) <= float(np.min(x)):
@@ -282,33 +251,43 @@ def fit_gpd(exceedances: Sequence[float]) -> GpdFit:
     x = x[x > 0]
     if x.size < 20:
         raise CdfError("fit_gpd needs at least 20 positive exceedances")
+    n = x.size
+    x_max = float(np.max(x))
+    ratio = x / x_max
 
-    gamma_pwm, _ = _pwm_start(x)
-    grid = np.unique(np.concatenate([np.linspace(-5.0, 5.0, 61), [gamma_pwm, 0.0]]))
-    profile = [(g,) + _profile_sigma(x, g, xatol=1e-5) for g in grid]
-    best_gamma, best_ll, best_sigma = max(
-        ((g, ll, s) for g, ll, s in profile), key=lambda t: (t[1], -abs(t[0]))
-    )
+    def profile(w: float) -> tuple[float, float, float]:
+        """(log-likelihood, gamma, sigma) at theta max x = expm1(w)."""
+        t = math.expm1(w)
+        if t == 0.0:
+            sigma = float(np.mean(x))
+            return -n * (math.log(sigma) + 1.0), 0.0, sigma
+        gamma = float(np.mean(np.log1p(t * ratio)))
+        sigma = gamma * x_max / t
+        return -n * (math.log(sigma) + 1.0 + gamma), gamma, sigma
 
-    step = 10.0 / 60.0
+    w_lo = math.log1p(-1.0 / (1.0 + 1e-8))
+    if profile(w_lo)[1] < -5.0:
+        w_lo = optimize.brentq(lambda w: profile(w)[1] + 5.0, w_lo, 0.0)
+    # gamma >= log1p(expm1(w) min ratio), which is 5 at the upper bracket;
+    # the cap keeps expm1(w) finite (it overflows near w = 709.8)
+    w_top = min(math.log1p(math.expm1(5.0) / float(np.min(ratio))), 700.0)
+    w_hi = optimize.brentq(lambda w: profile(w)[1] - 5.0, 0.0, w_top)
+
+    scan = np.linspace(w_lo, w_hi, 65)
+    best = int(np.argmax([profile(w)[0] for w in scan]))
     res = optimize.minimize_scalar(
-        lambda g: -_profile_sigma(x, g, xatol=1e-6)[0],
-        bounds=(max(-5.0, best_gamma - step), min(5.0, best_gamma + step)),
+        lambda w: -profile(w)[0],
+        bounds=(scan[max(best - 1, 0)], scan[min(best + 1, scan.size - 1)]),
         method="bounded",
-        options={"xatol": 1e-8},
+        options={"xatol": 1e-10},
     )
-    refined = float(res.x)
-    best_ll, best_sigma = _profile_sigma(x, best_gamma)
-    ll_ref, sigma_ref = _profile_sigma(x, refined)
-    candidates = [(best_gamma, best_ll, best_sigma), (refined, ll_ref, sigma_ref)]
-    ll_zero, sigma_zero = _profile_sigma(x, 0.0)
-    candidates.append((0.0, ll_zero, sigma_zero))
-    tol = 1e-9 * (1.0 + abs(best_ll))
-    top = max(c[1] for c in candidates)
-    gamma_hat, ll_hat, sigma_hat = min(
-        (c for c in candidates if c[1] >= top - tol), key=lambda c: abs(c[0])
+    candidates = [profile(scan[best]), profile(float(res.x)), profile(0.0)]
+    top = max(c[0] for c in candidates)
+    tol = 1e-9 * (1.0 + abs(top))
+    ll_hat, gamma_hat, sigma_hat = min(
+        (c for c in candidates if c[0] >= top - tol), key=lambda c: abs(c[1])
     )
-    return GpdFit(float(gamma_hat), float(sigma_hat), int(x.size), float(ll_hat))
+    return GpdFit(float(gamma_hat), float(sigma_hat), int(n), float(ll_hat))
 
 
 # ----------------------------------------------------------------------

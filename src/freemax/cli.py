@@ -39,6 +39,7 @@ from .cdf import (
 from .laws import (
     LawKind,
     LawSpec,
+    _finite_float,
     make_law,
     verify_max_stable,
 )
@@ -59,6 +60,7 @@ from .spectral import (
     pnorm_approx_shifted,
     proj_join,
     proj_meet,
+    rng_from_seed,
     spectral_max,
     spectral_min,
     write_eigenvalues_csv,
@@ -104,14 +106,11 @@ def _load_law(text: Optional[str], path: Optional[str]) -> Cdf:
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_LAW, f"invalid law JSON: {exc}")
     kind = raw.get("kind") if isinstance(raw, dict) else None
-    try:
-        if kind in ("MarchenkoPastur", "TriangularProcess"):
-            shape = raw.get("shape")
-            shape = 1.0 if shape is None else float(shape)
-            return mp_cdf(shape) if kind == "MarchenkoPastur" else triangular_law_cdf(shape)
-        return make_law(LawSpec.from_json(text))
-    except CdfError as exc:
-        raise CliError(EXIT_LAW, str(exc))
+    if kind in ("MarchenkoPastur", "TriangularProcess"):
+        shape = raw.get("shape")
+        shape = 1.0 if shape is None else _finite_float(shape, "shape")
+        return mp_cdf(shape) if kind == "MarchenkoPastur" else triangular_law_cdf(shape)
+    return make_law(LawSpec.from_json(text))
 
 
 def _parse_grid(spec: Optional[str], *cdfs: Cdf, size: int = 2001) -> np.ndarray:
@@ -207,24 +206,17 @@ def _cmd_conv(args) -> None:
 def _cmd_iterate(args) -> None:
     f = _load_law(args.law, args.law_csv)
     kind = _free_kind(args.type)
-    alpha = args.alpha
-    try:
-        limit = make_law(LawSpec(kind, shape=alpha))
-        constants = [norming_constants(f, n, kind) for n in _parse_int_list(args.n)]
-        grid = _parse_grid(args.grid, limit, size=args.grid_size)
-        rows = convergence_report(f, limit, constants, grid)
-    except CdfError as exc:
-        raise CliError(EXIT_LAW, str(exc))
+    limit = make_law(LawSpec(kind, shape=args.alpha))
+    constants = [norming_constants(f, n, kind) for n in _parse_int_list(args.n)]
+    grid = _parse_grid(args.grid, limit, size=args.grid_size)
+    rows = convergence_report(f, limit, constants, grid)
     payload = {"rows": [r.to_dict() for r in rows]}
     _write_output(_report(payload, vars(args)), args.out)
 
 
 def _cmd_stable(args) -> None:
     g = _load_law(args.law, args.law_csv)
-    try:
-        check = verify_max_stable(g, args.k, tol=args.tol)
-    except CdfError as exc:
-        raise CliError(EXIT_LAW, str(exc))
+    check = verify_max_stable(g, args.k, tol=args.tol)
     payload = {
         "stable": check.stable,
         "a": check.a,
@@ -239,23 +231,20 @@ def _cmd_stable(args) -> None:
 def _cmd_attract(args) -> None:
     f = _load_law(args.law, args.law_csv)
     kind = _free_kind(args.type)
-    try:
-        constants = [norming_constants(f, n, kind) for n in _parse_int_list(args.n)]
-        payload: dict = {"constants": [c.to_dict() for c in constants]}
-        if kind is LawKind.FREE_TYPE_I:
-            u = threshold_un(f, constants[-1].n)
-            payload["mean_excess_at_un"] = mean_excess(f, u)
-        if args.rv_alpha is not None:
-            mode = "at_infinity" if kind is LawKind.FREE_TYPE_II else "at_endpoint"
-            payload["rv_deviation"] = rv_check(
-                f,
-                args.rv_alpha,
-                mode,
-                _parse_float_list(args.rv_x),
-                _parse_float_list(args.rv_scales),
-            )
-    except CdfError as exc:
-        raise CliError(EXIT_LAW, str(exc))
+    constants = [norming_constants(f, n, kind) for n in _parse_int_list(args.n)]
+    payload: dict = {"constants": [c.to_dict() for c in constants]}
+    if kind is LawKind.FREE_TYPE_I:
+        u = threshold_un(f, constants[-1].n)
+        payload["mean_excess_at_un"] = mean_excess(f, u)
+    if args.rv_alpha is not None:
+        mode = "at_infinity" if kind is LawKind.FREE_TYPE_II else "at_endpoint"
+        payload["rv_deviation"] = rv_check(
+            f,
+            args.rv_alpha,
+            mode,
+            _parse_float_list(args.rv_x),
+            _parse_float_list(args.rv_scales),
+        )
     _write_output(_report(payload, vars(args)), args.out)
 
 
@@ -267,11 +256,7 @@ def _cmd_pot(args) -> None:
             raise CliError(EXIT_INPUT, f"cannot read samples {args.samples}: {exc}")
         except CdfError as exc:
             raise CliError(EXIT_INPUT, str(exc))
-        exceed = data[data > args.u] - args.u
-        try:
-            fit = fit_gpd(exceed)
-        except CdfError as exc:
-            raise CliError(EXIT_LAW, str(exc))
+        fit = fit_gpd(data[data > args.u] - args.u)
         _write_output(_report(fit.to_dict(), vars(args)), args.out)
         return
     if args.law is None and args.law_csv is None:
@@ -279,10 +264,7 @@ def _cmd_pot(args) -> None:
     f = _load_law(args.law, args.law_csv)
     if args.gamma is None or args.u_list is None:
         raise CliError(EXIT_USAGE, "law-based pot needs --gamma and --u-list")
-    try:
-        rows = balkema_de_haan_check(f, args.gamma, _parse_float_list(args.u_list))
-    except CdfError as exc:
-        raise CliError(EXIT_LAW, str(exc))
+    rows = balkema_de_haan_check(f, args.gamma, _parse_float_list(args.u_list))
     payload = {
         "rows": [
             {"u": r.u, "sigma_u": r.sigma_u, "sup_distance": r.sup_distance} for r in rows
@@ -311,8 +293,6 @@ def _spectral_general_position(args) -> list[dict]:
 
 
 def _seeded_pair(n: int, seed: int, trial: int) -> tuple[HermitianMatrix, HermitianMatrix]:
-    from .spectral import rng_from_seed
-
     rng = rng_from_seed(seed, trial, 7)
     a = haar_conjugate(HermitianMatrix(np.diag(np.sort(rng.random(n)))), seed, trial, 0)
     b = haar_conjugate(HermitianMatrix(np.diag(np.sort(rng.random(n)))), seed, trial, 1)
@@ -350,8 +330,6 @@ def _spectral_conv_identity(args) -> list[dict]:
 def _spectral_approx(args, use_pnorm: bool) -> list[dict]:
     records = []
     for trial in range(args.trials):
-        from .spectral import rng_from_seed
-
         rng = rng_from_seed(args.seed, trial, 3)
         spec_a = np.sort(1.0 - 0.007 * rng.random(args.N))
         spec_b = np.sort(1.0 - 0.007 * rng.random(args.N))
@@ -390,10 +368,7 @@ def _cmd_poisson(args) -> None:
     except (CdfError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CliError(EXIT_INPUT, f"bad partition file: {exc}")
     subsets = [group.split(",") for group in args.subsets.split(";") if group]
-    try:
-        report = extremal_process_report(partition, subsets, args.N, args.trials, args.seed)
-    except CdfError as exc:
-        raise CliError(EXIT_LAW, str(exc))
+    report = extremal_process_report(partition, subsets, args.N, args.trials, args.seed)
     if args.dump_eigs:
         matrix = sample_free_poisson_matrix(partition, subsets[0], args.N, args.seed)
         write_eigenvalues_csv(matrix, args.dump_eigs)
@@ -511,6 +486,11 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         sys.stderr.write(json.dumps({"error": {"code": EXIT_INPUT, "message": str(exc)}}) + "\n")
         return EXIT_INPUT
+    except Exception as exc:
+        # an input no boundary check anticipated: still one JSON error, no traceback
+        message = f"internal error: {type(exc).__name__}: {exc}"
+        sys.stderr.write(json.dumps({"error": {"code": EXIT_INTERNAL, "message": message}}) + "\n")
+        return EXIT_INTERNAL
 
 
 def main() -> None:

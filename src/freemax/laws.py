@@ -22,6 +22,7 @@ from .cdf import (
     Cdf,
     CdfError,
     FunctionCdf,
+    _monotone_inf,
     comparison_grid,
     free_max_iterate,
     rescale,
@@ -75,6 +76,17 @@ _NEEDS_POSITIVE_SHAPE = {
 }
 
 
+def _finite_float(value, name: str) -> float:
+    """A law parameter from JSON as a finite float, else ``CdfError``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise CdfError(f"law {name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise CdfError(f"law {name} must be finite, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class LawSpec:
     """Parametric law descriptor; serializes as {kind, shape, location, scale}."""
@@ -109,9 +121,9 @@ class LawSpec:
         shape = raw.get("shape")
         return cls(
             kind=kind,
-            shape=None if shape is None else float(shape),
-            location=float(raw.get("location", 0.0)),
-            scale=float(raw.get("scale", 1.0)),
+            shape=None if shape is None else _finite_float(shape, "shape"),
+            location=_finite_float(raw.get("location", 0.0), "location"),
+            scale=_finite_float(raw.get("scale", 1.0), "scale"),
         )
 
 
@@ -256,6 +268,11 @@ class GpdCdf(Cdf):
 
 
 class GumbelCdf(Cdf):
+    def __init__(self):
+        super().__init__()
+        self._alpha_cache = -math.inf
+        self._omega_cache = math.inf
+
     def _value(self, x):
         return np.exp(-np.exp(-x))
 
@@ -318,6 +335,11 @@ class WeibullCdf(Cdf):
 
 
 class StdNormalCdf(Cdf):
+    def __init__(self):
+        super().__init__()
+        self._alpha_cache = -math.inf
+        self._omega_cache = math.inf
+
     def _value(self, x):
         return special.ndtr(x)
 
@@ -414,8 +436,6 @@ class FcCdf(Cdf):
     def _solve_alpha(self):
         # f_c(F(x)) = 0 exactly when F(x) <= exp(-1/c)
         cut = math.exp(-1.0 / self.c)
-        from .cdf import _monotone_inf
-
         return _monotone_inf(
             lambda t: self.parent.value(t) > cut,
             self.parent.quantile(0.25) - 1.0,

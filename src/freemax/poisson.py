@@ -18,7 +18,7 @@ from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .cdf import Cdf, CdfError, ks_distance
+from .cdf import Cdf, CdfError, FunctionCdf, ks_distance
 from .spectral import (
     HermitianMatrix,
     Projection,
@@ -29,7 +29,6 @@ from .spectral import (
     rng_from_seed,
     spectral_max,
 )
-from .util import parallel_map
 
 __all__ = [
     "Partition",
@@ -218,8 +217,6 @@ class MpCdf(Cdf):
             return self
         parent = self
         scale = 1.0 - parent.atom
-
-        from .cdf import FunctionCdf
 
         def value_fn(x):
             return np.clip((parent._value(x) - parent.atom) / scale, 0.0, 1.0)
@@ -434,5 +431,5 @@ def extremal_process_report(
             ks_distance=float(np.mean(ks_vals)) if ks_vals else 1.0,
         )
 
-    records = tuple(parallel_map(run_subset, canonical))
+    records = tuple(run_subset(subset) for subset in canonical)
     return ProcessReport(records=records, trials=trials, seed=seed, warnings=starved)

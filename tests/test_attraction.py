@@ -75,6 +75,13 @@ def test_mean_excess_rejects_beyond_support():
         mean_excess(UniformCdf(), 1.0)
 
 
+@pytest.mark.parametrize("law", [standard_cauchy(), ParetoCdf(1.0)], ids=["cauchy", "pareto1"])
+def test_mean_excess_rejects_infinite_mean(law):
+    # the tail integral diverges: quadrature failure is an error, not a number
+    with pytest.raises(CdfError):
+        mean_excess(law, 10.0)
+
+
 # ----------------------------------------------------------------------
 # norming constants
 # ----------------------------------------------------------------------
@@ -102,6 +109,8 @@ def test_norming_exponential():
 def test_norming_type_iii_needs_finite_endpoint():
     with pytest.raises(CdfError):
         norming_constants(ExponentialCdf(), 10, LawKind.FREE_TYPE_III)
+    with pytest.raises(CdfError):
+        norming_constants(StdNormalCdf(), 100, LawKind.FREE_TYPE_III)
 
 
 def test_norming_type_ii_needs_unbounded_tail():
@@ -239,6 +248,26 @@ def test_fit_gpd_recovers_shape(law, gamma, tol):
     assert abs(fit.gamma_hat - gamma) < tol
     assert fit.sigma_hat == pytest.approx(1.0, abs=0.05)
     assert fit.n_exceedances == 10**5
+    direct = np.sum(stats.genpareto.logpdf(sample, fit.gamma_hat, scale=fit.sigma_hat))
+    assert fit.log_likelihood == pytest.approx(direct, rel=1e-9)
+
+
+def _scipy_loglik(x, gamma, sigma):
+    return float(np.sum(stats.genpareto.logpdf(x, gamma, scale=sigma)))
+
+
+@pytest.mark.parametrize("seed", [15, 29])
+def test_fit_gpd_is_a_local_maximum_at_the_irregular_boundary(seed):
+    # gamma = -1 samples: the maximum lies below gamma = -1, on the support margin
+    x = GpdCdf(-1.0).sample(1000, rng_from_seed(seed))
+    fit = fit_gpd(x)
+    best = fit.log_likelihood
+    # every gamma = -1 fit has log-likelihood at most -n log(max x)
+    assert best > -x.size * math.log(np.max(x))
+    for dg in (-1e-3, 0.0, 1e-3):
+        for ds in (-1e-3, 0.0, 1e-3):
+            near = _scipy_loglik(x, fit.gamma_hat + dg, fit.sigma_hat * (1.0 + ds))
+            assert near <= best + 1e-9 * abs(best)
 
 
 def test_fit_gpd_negative_shape_support_invariant():
@@ -253,6 +282,22 @@ def test_fit_gpd_is_deterministic():
     a = fit_gpd(sample)
     b = fit_gpd(sample)
     assert a == b
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_gpd_rejects_non_finite(bad):
+    sample = list(_inverse_cdf_sample(ExponentialCdf(), 100, 5))
+    sample[17] = bad
+    with pytest.raises(CdfError):
+        fit_gpd(sample)
+
+
+def test_fit_gpd_brackets_a_sample_spanning_the_float_range():
+    # max x / min x overflows: the upper bracket is capped, gamma stops at 5
+    sample = np.concatenate([np.full(30, 1e-310), np.linspace(1.0, 2.0, 30)])
+    fit = fit_gpd(sample)
+    assert fit.gamma_hat == pytest.approx(5.0)
+    assert math.isfinite(fit.log_likelihood)
 
 
 def test_fit_gpd_rejects_small_and_degenerate():

@@ -218,12 +218,11 @@ def test_poisson_eig_dump(tmp_path):
 # ----------------------------------------------------------------------
 # determinism and errors
 # ----------------------------------------------------------------------
-def test_byte_identical_reruns(tmp_path, monkeypatch):
+def test_byte_identical_reruns(tmp_path):
     part = tmp_path / "part.json"
     part.write_text('{"atoms":[{"id":"1","mass":0.3},{"id":"2","mass":0.4}]}')
     outs = []
-    for name, threads in (("a.json", "1"), ("b.json", "4")):
-        monkeypatch.setenv("FREEMAX_THREADS", threads)
+    for name in ("a.json", "b.json"):
         out = tmp_path / name
         code = dispatch(
             ["poisson", "--partition", str(part), "--subsets", "1;1,2", "--N", "64",
@@ -271,6 +270,37 @@ def test_invalid_law_error(capsys):
         capsys, ["law", "--law", '{"kind":"FreeTypeII","shape":-2}']
     )
     assert code == EXIT_LAW
+
+
+@pytest.mark.parametrize(
+    "argv,codes",
+    [
+        (["spectral", "--experiment", "conv_identity", "--N", "0", "--seed", "1"], (2, 3, 4, 5)),
+        (["law", "--law", '{"kind":"FreeTypeII","shape":"abc"}'], (2, 3, 4, 5)),
+        (["law", "--law", '{"kind":"MarchenkoPastur","shape":Infinity}'], (EXIT_LAW,)),
+        (["attract", "--law", '{"kind":"FreeTypeII","shape":1}', "--type", "I", "--n", "100"],
+         (EXIT_LAW,)),
+    ],
+    ids=["empty_matrix", "non_numeric_shape", "infinite_mp_shape", "infinite_mean"],
+)
+def test_errors_are_one_json_object_without_traceback(argv, codes):
+    src = os.path.dirname(os.path.dirname(freemax.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "freemax", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode in codes
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["code"] == done.returncode
+
+
+def test_std_normal_default_grid_spans_tail_quantiles(capsys):
+    dispatch(["law", "--law", '{"kind":"StdNormal"}', "--grid-size", "3"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    xs = [float(row.split(",")[0]) for row in rows]
+    assert xs[0] == pytest.approx(-3.719, abs=1e-3)
+    assert xs[-1] == pytest.approx(3.719, abs=1e-3)
 
 
 def test_seed_required_for_stochastic_commands(capsys):

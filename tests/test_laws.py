@@ -107,6 +107,29 @@ def test_gpd_supports():
     assert neg.alpha == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("law", [StdNormalCdf(), GumbelCdf()], ids=["normal", "gumbel"])
+def test_unbounded_laws_report_infinite_endpoints(law):
+    assert law.alpha == -math.inf
+    assert law.omega == math.inf
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind":"FreeTypeII","shape":"abc"}',
+        '{"kind":"FreeTypeII","shape":[2]}',
+        '{"kind":"GeneralizedPareto","shape":NaN}',
+        '{"kind":"FreeTypeII","shape":Infinity}',
+        '{"kind":"FreeTypeI","location":NaN}',
+        '{"kind":"FreeTypeI","scale":-Infinity}',
+        '{"kind":"FreeTypeI","location":null}',
+    ],
+)
+def test_law_spec_rejects_non_finite_parameters(text):
+    with pytest.raises(CdfError):
+        LawSpec.from_json(text)
+
+
 def test_make_law_rejects_bad_shape():
     with pytest.raises(CdfError):
         make_law(LawSpec(LawKind.FREE_TYPE_II, shape=-1.0))
