@@ -234,10 +234,10 @@ def fit_gpd(exceedances: Sequence[float]) -> GpdFit:
       i.e. w >= log1p(-1/(1 + 1e-8)), which keeps the likelihood bounded.
 
     Deterministic: one coarse scan over w is refined by one bounded scalar
-    search between the neighbours of the best scan point.  Among the best
-    scan point, the refined point and theta = 0, those within
-    1e-9 (1 + |l|) of the best log-likelihood l are ties, broken toward the
-    smallest |gamma|.
+    search between the neighbours of the best scan point, and the higher of
+    the best scan point and the refined point is kept.  Against theta = 0
+    (the exponential fit), log-likelihoods within 1e-9 (1 + |l|) of the
+    better one l are ties, broken toward the smaller |gamma|.
     """
     x = np.asarray(exceedances, dtype=float).ravel()
     if x.size < 20:
@@ -281,7 +281,8 @@ def fit_gpd(exceedances: Sequence[float]) -> GpdFit:
         method="bounded",
         options={"xatol": 1e-10},
     )
-    candidates = [profile(scan[best]), profile(float(res.x)), profile(0.0)]
+    found = max(profile(scan[best]), profile(float(res.x)), key=lambda c: (c[0], -abs(c[1])))
+    candidates = [found, profile(0.0)]
     top = max(c[0] for c in candidates)
     tol = 1e-9 * (1.0 + abs(top))
     ll_hat, gamma_hat, sigma_hat = min(

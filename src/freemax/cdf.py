@@ -98,11 +98,14 @@ def _as_float_array(x) -> np.ndarray:
 class Cdf:
     """Right-continuous nondecreasing distribution function.
 
-    Subclasses implement ``_value`` on float ndarrays, and may override
-    ``_tail``, ``_left``, ``_quantile`` and the affine-argument hooks
-    ``_value_affine``/``_tail_affine`` when a closed or numerically
-    stabler form exists.  Instances are immutable; all operations are
-    pure, so concurrent reads are safe.
+    Subclasses implement ``_value`` or ``_tail`` on float ndarrays, or
+    both: each defaults to one minus the other, so a subclass must
+    override at least one.  Laws whose tail is the native quantity (the
+    convolution and iteration formulas amplify it) implement ``_tail``.
+    ``_left``, ``_quantile``, ``_tail_gap`` and the affine-argument hooks
+    ``_value_affine``/``_tail_affine`` are overridden where a closed or
+    numerically stabler form exists.  Instances are immutable; all
+    operations are pure, so concurrent reads are safe.
     """
 
     def __init__(self):
@@ -113,7 +116,7 @@ class Cdf:
     # vectorized hooks
     # ------------------------------------------------------------------
     def _value(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return 1.0 - self._tail(x)
 
     def _tail(self, x: np.ndarray) -> np.ndarray:
         return 1.0 - self._value(x)
@@ -210,7 +213,7 @@ class Cdf:
     def quantile(self, p):
         """Generalized inverse inf{x : F(x) >= p}."""
         arr = _as_float_array(p)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise CdfError("quantile level must lie in [0, 1]")
         scalar = arr.ndim == 0
         out = self._quantile(np.atleast_1d(arr).astype(float))
@@ -244,6 +247,8 @@ class SteppedCdf(Cdf):
         vs = _as_float_array(values).ravel()
         if xs.size == 0 or xs.size != vs.size:
             raise CdfError("breakpoints and values must be equal-length and nonempty")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
+            raise CdfError("breakpoints and values must be finite")
         if np.any(np.diff(xs) <= 0):
             raise CdfError("breakpoints must be strictly increasing")
         if np.any(np.diff(vs) < -MONOTONE_SLACK):
@@ -264,8 +269,6 @@ class SteppedCdf(Cdf):
         if positive.size == 0:
             return math.inf
         k = positive[0]
-        if self.interpolation == "linear" and self.vs[k] == 0.0:
-            return float(self.xs[k])
         if self.interpolation == "linear" and k > 0:
             # mass starts where the linear rise leaves zero
             return float(self.xs[k - 1])
@@ -294,28 +297,24 @@ class SteppedCdf(Cdf):
     def _quantile(self, p):
         if self.interpolation == "constant":
             idx = np.searchsorted(self.vs, p, side="left")
-            out = np.where(idx >= self.vs.size, math.inf, self.xs[np.clip(idx, 0, self.vs.size - 1)])
-            return out
-        out = np.empty_like(p)
-        for i, pi in enumerate(p.flat):
-            if pi > self.vs[-1]:
-                out.flat[i] = math.inf
-            elif pi <= self.vs[0]:
-                out.flat[i] = self.xs[0]
-            else:
-                j = int(np.searchsorted(self.vs, pi, side="left"))
-                x0, x1 = self.xs[j - 1], self.xs[j]
-                v0, v1 = self.vs[j - 1], self.vs[j]
-                out.flat[i] = x1 if v1 == v0 else x0 + (pi - v0) * (x1 - x0) / (v1 - v0)
-        return out
+            return np.where(idx >= self.vs.size, math.inf, self.xs[np.clip(idx, 0, self.vs.size - 1)])
+        j = np.clip(np.searchsorted(self.vs, p, side="left"), 1, self.vs.size - 1)
+        x0, x1, v0, v1 = self.xs[j - 1], self.xs[j], self.vs[j - 1], self.vs[j]
+        with np.errstate(divide="ignore", invalid="ignore"):  # v1 > v0 wherever selected
+            inner = x0 + (p - v0) * (x1 - x0) / (v1 - v0)
+        return np.select([p > self.vs[-1], p <= self.vs[0]], [math.inf, self.xs[0]], inner)
 
 
 class FunctionCdf(Cdf):
-    """CDF defined by explicit callables (parametric or ad hoc laws)."""
+    """CDF defined by explicit callables (parametric or ad hoc laws).
+
+    The given callables are the hooks; ``value_fn`` or ``tail_fn`` is
+    required, and a missing one is one minus the other.
+    """
 
     def __init__(
         self,
-        value_fn: Callable[[np.ndarray], np.ndarray],
+        value_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         *,
         alpha: float = -math.inf,
         omega: float = math.inf,
@@ -324,30 +323,14 @@ class FunctionCdf(Cdf):
         quantile_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         super().__init__()
-        self._value_fn = value_fn
-        self._tail_fn = tail_fn
-        self._left_fn = left_fn
-        self._quantile_fn = quantile_fn
+        if value_fn is None and tail_fn is None:
+            raise CdfError("FunctionCdf needs value_fn or tail_fn")
+        hooks = {"_value": value_fn, "_tail": tail_fn, "_left": left_fn, "_quantile": quantile_fn}
+        for name, fn in hooks.items():
+            if fn is not None:
+                setattr(self, name, fn)
         self._alpha_cache = float(alpha)
         self._omega_cache = float(omega)
-
-    def _value(self, x):
-        return self._value_fn(x)
-
-    def _tail(self, x):
-        if self._tail_fn is None:
-            return 1.0 - self._value_fn(x)
-        return self._tail_fn(x)
-
-    def _left(self, x):
-        if self._left_fn is None:
-            return self._value(x)
-        return self._left_fn(x)
-
-    def _quantile(self, p):
-        if self._quantile_fn is None:
-            return super()._quantile(p)
-        return self._quantile_fn(p)
 
 
 def point_mass(a: float) -> SteppedCdf:
@@ -421,9 +404,6 @@ class FreeMaxPowerCdf(Cdf):
     def _tail(self, x):
         return np.minimum(self.s * self.parent._tail(x), 1.0)
 
-    def _value(self, x):
-        return 1.0 - self._tail(x)
-
     def _left(self, x):
         return np.clip(1.0 - np.minimum(self.s * (1.0 - self.parent._left(x)), 1.0), 0.0, 1.0)
 
@@ -456,9 +436,6 @@ class FreeMaxConvCdf(Cdf):
 
     def _tail(self, x):
         return np.minimum(self.f._tail(x) + self.g._tail(x), 1.0)
-
-    def _value(self, x):
-        return 1.0 - self._tail(x)
 
     def _left(self, x):
         return np.clip(self.f._left(x) + self.g._left(x) - 1.0, 0.0, 1.0)
@@ -562,9 +539,6 @@ class ExceedanceCdf(Cdf):
         return np.where(
             x < 0.0, 1.0, np.minimum(self.parent._tail(x + self.u) / self.tail_u, 1.0)
         )
-
-    def _value(self, x):
-        return 1.0 - self._tail(x)
 
     def _left(self, x):
         raw = np.clip(
@@ -688,14 +662,10 @@ def atom_decomposition_max(f: Cdf, g: Cdf) -> MeasureDecomposition:
     if rest_mass <= 0.0:
         return MeasureDecomposition(t, 1.0, None)
 
-    ft, gt = f, g
+    def tail_fn(x):
+        return np.where(x < t, 1.0, np.minimum((f._tail(x) + g._tail(x)) / rest_mass, 1.0))
 
-    def value_fn(x):
-        kept = ft._tail(np.asarray([t]))[0] + gt._tail(np.asarray([t]))[0]
-        raw = 1.0 - np.minimum((ft._tail(x) + gt._tail(x)) / kept, 1.0)
-        return np.where(x < t, 0.0, raw)
-
-    restricted = FunctionCdf(value_fn, alpha=t, omega=max(f.omega, g.omega))
+    restricted = FunctionCdf(tail_fn=tail_fn, alpha=t, omega=max(f.omega, g.omega))
     return MeasureDecomposition(t, atom, restricted)
 
 
@@ -706,15 +676,10 @@ def comparison_grid(*cdfs: Cdf, n: int = 2001, p_tail: float = 1e-4) -> np.ndarr
     """Shared evaluation grid spanning tail quantiles and finite supports."""
     if not cdfs:
         raise CdfError("comparison_grid needs at least one CDF")
-    los, his = [], []
-    for f in cdfs:
-        los.append(f.alpha if math.isfinite(f.alpha) else f.quantile(p_tail))
-        his.append(f.omega if math.isfinite(f.omega) else f.quantile(1.0 - p_tail))
-    lo, hi = min(los), max(his)
-    if not math.isfinite(lo):
-        lo = min(f.quantile(p_tail) for f in cdfs)
-    if not math.isfinite(hi):
-        hi = max(f.quantile(1.0 - p_tail) for f in cdfs)
+    lo = min(f.alpha if math.isfinite(f.alpha) else f.quantile(p_tail) for f in cdfs)
+    hi = max(f.omega if math.isfinite(f.omega) else f.quantile(1.0 - p_tail) for f in cdfs)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CdfError("the tail quantiles do not span a finite range; give an explicit grid")
     if hi - lo < 1e-12:
         lo, hi = lo - 1.0, hi + 1.0
     return np.linspace(lo, hi, n)
@@ -731,6 +696,8 @@ def ks_distance(samples: np.ndarray, f: Cdf) -> float:
     n = x.size
     if n == 0:
         raise CdfError("ks_distance requires a nonempty sample")
+    if not np.all(np.isfinite(x)):
+        raise CdfError("ks_distance requires a finite sample")
     fx = np.asarray(f.value(x))
     upper = np.max(np.arange(1, n + 1) / n - fx)
     lower = np.max(fx - np.arange(0, n) / n)

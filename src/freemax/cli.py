@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from typing import Optional
 
@@ -99,8 +100,8 @@ def _load_law(text: Optional[str], path: Optional[str]) -> Cdf:
             return tabulated_cdf(path)
         except OSError as exc:
             raise CliError(EXIT_INPUT, f"cannot read CDF table {path}: {exc}")
-        except CdfError as exc:
-            raise CliError(EXIT_INPUT, str(exc))
+        except (ValueError, IndexError) as exc:  # CdfError is a ValueError
+            raise CliError(EXIT_INPUT, f"bad CDF table {path}: {exc}")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -119,17 +120,35 @@ def _parse_grid(spec: Optional[str], *cdfs: Cdf, size: int = 2001) -> np.ndarray
     parts = spec.split(",")
     if len(parts) != 3:
         raise CliError(EXIT_USAGE, "--grid expects 'lo,hi,count'")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if not (hi > lo and count >= 2):
-        raise CliError(EXIT_USAGE, "--grid needs hi > lo and count >= 2")
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise CliError(EXIT_USAGE, f"--grid expects numbers 'lo,hi,count', got {spec!r}")
+    if not (-math.inf < lo < hi < math.inf and count >= 2):
+        raise CliError(EXIT_USAGE, "--grid needs finite lo < hi and count >= 2")
     return np.linspace(lo, hi, count)
+
+
+def _int_at_least(minimum: int):
+    """argparse type of a count or seed flag: an integer >= ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {value}")
+        return value
+
+    return count
 
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",") if v != ""]
+        values = [int(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"bad integer list {text!r}: {exc}")
+    if not values:
+        raise CliError(EXIT_USAGE, f"expected at least one integer, got {text!r}")
+    return values
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -254,8 +273,8 @@ def _cmd_pot(args) -> None:
             data = read_samples(args.samples)
         except OSError as exc:
             raise CliError(EXIT_INPUT, f"cannot read samples {args.samples}: {exc}")
-        except CdfError as exc:
-            raise CliError(EXIT_INPUT, str(exc))
+        except ValueError as exc:  # CdfError is a ValueError
+            raise CliError(EXIT_INPUT, f"bad sample file {args.samples}: {exc}")
         fit = fit_gpd(data[data > args.u] - args.u)
         _write_output(_report(fit.to_dict(), vars(args)), args.out)
         return
@@ -365,7 +384,7 @@ def _cmd_poisson(args) -> None:
             partition = Partition.from_json(fh.read())
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot read partition {args.partition}: {exc}")
-    except (CdfError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # CdfError is a ValueError
         raise CliError(EXIT_INPUT, f"bad partition file: {exc}")
     subsets = [group.split(",") for group in args.subsets.split(";") if group]
     report = extremal_process_report(partition, subsets, args.N, args.trials, args.seed)
@@ -394,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("law", help="evaluate a law on a grid")
     _add_law_args(p)
     p.add_argument("--grid", help="lo,hi,count")
-    p.add_argument("--grid-size", type=int, default=2001)
+    p.add_argument("--grid-size", type=_int_at_least(2), default=2001)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_law)
@@ -403,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_law_args(p, second=True)
     p.add_argument("--op", default="free_max", help="free_max | free_min | classical")
     p.add_argument("--grid", help="lo,hi,count")
-    p.add_argument("--grid-size", type=int, default=2001)
+    p.add_argument("--grid-size", type=_int_at_least(2), default=2001)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_conv)
@@ -414,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="target shape (types II/III)")
     p.add_argument("--n", required=True, help="comma-separated iterate orders")
     p.add_argument("--grid", help="lo,hi,count")
-    p.add_argument("--grid-size", type=int, default=2001)
+    p.add_argument("--grid-size", type=_int_at_least(2), default=2001)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_iterate)
 
@@ -448,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral", help="seeded matrix experiments")
     p.add_argument("--experiment", required=True,
                    help="general_position | conv_identity | pnorm | logexp")
-    p.add_argument("--N", type=int, default=50)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--N", type=_int_at_least(1), default=50)
+    p.add_argument("--trials", type=_int_at_least(1), default=10)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--ranks", help="comma-separated ranks for general_position")
     p.add_argument("--p-list", default="16,256,4096")
     p.add_argument("--out")
@@ -459,9 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poisson", help="free Poisson / extremal process report")
     p.add_argument("--partition", required=True, help="partition JSON file")
     p.add_argument("--subsets", required=True, help="semicolon-separated id groups")
-    p.add_argument("--N", type=int, default=500)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--N", type=_int_at_least(1), default=500)
+    p.add_argument("--trials", type=_int_at_least(1), default=10)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--dump-eigs", help="write to CSV the eigenvalues of the first subset's "
                    "matrix drawn with --seed itself, which no trial uses "
                    "(trial t draws with a seed derived from --seed and t)")

@@ -216,18 +216,8 @@ class BetaPowerCdf(Cdf):
         self._alpha_cache = -1.0
         self._omega_cache = 0.0
 
-    def _value(self, x):
-        return 1.0 - self._tail(x)
-
     def _tail(self, x):
         return np.clip(np.abs(np.minimum(x, 0.0)) ** self.shape, 0.0, 1.0)
-
-    def _tail_affine(self, a, b, x):
-        # b + a*x stays a single fused expression; exact when b == 0
-        return np.clip(np.abs(np.minimum(b + a * x, 0.0)) ** self.shape, 0.0, 1.0)
-
-    def _value_affine(self, a, b, x):
-        return 1.0 - self._tail_affine(a, b, x)
 
     def _tail_gap(self, h):
         return np.clip(np.maximum(h, 0.0) ** self.shape, 0.0, 1.0)
@@ -381,10 +371,7 @@ def log_perturbed_pareto(alpha: float = 2.0) -> Cdf:
         safe = np.maximum(x, 1.0)
         return np.where(x <= 1.0, 1.0, safe ** (-alpha) / (1.0 + np.log(safe)))
 
-    def value_fn(x):
-        return 1.0 - tail_fn(x)
-
-    return FunctionCdf(value_fn, tail_fn=tail_fn, alpha=1.0, omega=math.inf)
+    return FunctionCdf(tail_fn=tail_fn, alpha=1.0, omega=math.inf)
 
 
 _CANONICAL = {
@@ -442,23 +429,18 @@ class FcCdf(Cdf):
             self.parent.quantile(0.75) + 1.0,
         )
 
-    def _tail(self, x):
+    def _image_tail(self, parent_tail):
         # 1 - (1 + c ln F)_+ = min(c * (-ln F), 1), through the parent tail
-        parent_tail = self.parent._tail(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             neg_log = -np.log1p(-np.minimum(parent_tail, 1.0))
         neg_log = np.where(parent_tail >= 1.0, math.inf, neg_log)
         return np.minimum(self.c * neg_log, 1.0)
 
-    def _value(self, x):
-        return 1.0 - self._tail(x)
+    def _tail(self, x):
+        return self._image_tail(self.parent._tail(x))
 
     def _left(self, x):
-        parent_left_tail = 1.0 - self.parent._left(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            neg_log = -np.log1p(-np.minimum(parent_left_tail, 1.0))
-        neg_log = np.where(parent_left_tail >= 1.0, math.inf, neg_log)
-        return 1.0 - np.minimum(self.c * neg_log, 1.0)
+        return 1.0 - self._image_tail(1.0 - self.parent._left(x))
 
 
 def f_c_map(f: Cdf, c: float) -> Cdf:

@@ -60,8 +60,8 @@ class Partition:
             if atom_id in seen:
                 raise CdfError(f"duplicate atom id {atom_id!r}")
             seen.add(atom_id)
-            if mass < 0:
-                raise CdfError(f"atom {atom_id!r} has negative mass")
+            if not 0.0 <= mass < math.inf:
+                raise CdfError(f"atom {atom_id!r} needs a finite nonnegative mass, got {mass!r}")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[str, float]]) -> "Partition":

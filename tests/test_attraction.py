@@ -270,6 +270,18 @@ def test_fit_gpd_is_a_local_maximum_at_the_irregular_boundary(seed):
             assert near <= best + 1e-9 * abs(best)
 
 
+def test_fit_gpd_keeps_the_refined_point_when_it_is_higher():
+    # a flat profile near gamma = -1: the best scan point has the smaller
+    # |gamma| but a log-likelihood 2e-6 below the refined point's
+    rng = np.random.default_rng([2, 1])
+    sigma = round(rng.uniform(0.8, 1.5), 4)
+    u = round(rng.uniform(0.5, 2.0), 4)
+    x = u - sigma * np.expm1(np.log(1.0 - rng.random(10000)))
+    fit = fit_gpd(x[x > u] - u)
+    assert fit.log_likelihood == pytest.approx(-3544.0111262, abs=5e-8)
+    assert fit.log_likelihood > -3544.0111272
+
+
 def test_fit_gpd_negative_shape_support_invariant():
     sample = _inverse_cdf_sample(UniformCdf(), 2000, 7)
     fit = fit_gpd(sample)

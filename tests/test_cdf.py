@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freemax.cli  # noqa: F401  (loads every module, so every Cdf subclass exists)
 from freemax.cdf import (
+    Cdf,
     CdfError,
+    FunctionCdf,
     SteppedCdf,
     atom_decomposition_max,
     classical_max_conv,
@@ -54,6 +57,44 @@ def test_stepped_rejects_decreasing_values():
 def test_stepped_clamps_floating_point_noise():
     f = SteppedCdf([0.0, 1.0], [0.5, 0.5 - 1e-13])
     assert f.value(1.0) >= f.value(0.0)
+
+
+@pytest.mark.parametrize(
+    "xs,vs",
+    [
+        ([0.0, math.nan, 2.0], [0.2, 0.5, 1.0]),
+        ([0.0, 1.0, math.inf], [0.2, 0.5, 1.0]),
+        ([-math.inf, 1.0], [0.5, 1.0]),
+        ([0.0, 1.0, 2.0], [0.2, math.nan, 1.0]),
+        ([0.0, 1.0], [0.5, math.inf]),
+    ],
+)
+@pytest.mark.parametrize("interpolation", ["constant", "linear"])
+def test_stepped_rejects_non_finite_input(xs, vs, interpolation):
+    with pytest.raises(CdfError):
+        SteppedCdf(xs, vs, interpolation=interpolation)
+
+
+def test_tabulated_cdf_rejects_non_finite_rows(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,F\n0,0.2\nnan,0.5\n2,1\n")
+    with pytest.raises(CdfError):
+        tabulated_cdf(str(path))
+
+
+def test_comparison_grid_rejects_an_infinite_span():
+    # a table that never reaches 1 has an infinite upper tail quantile
+    short = SteppedCdf([0.0, 1.0], [0.2, 0.6], interpolation="linear")
+    with pytest.raises(CdfError):
+        comparison_grid(short)
+    with pytest.raises(CdfError):
+        comparison_grid(UniformCdf(), short)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_empirical_cdf_rejects_non_finite_samples(bad):
+    with pytest.raises(CdfError):
+        empirical_cdf([1.0, bad, 2.0])
 
 
 def test_empirical_cdf_examples():
@@ -407,6 +448,8 @@ def test_quantile_examples(law, p, expected):
 def test_quantile_rejects_out_of_range():
     with pytest.raises(CdfError):
         quantile(UniformCdf(), 1.5)
+    with pytest.raises(CdfError):
+        quantile(UniformCdf(), [0.5, math.nan])
 
 
 def test_quantile_galois_inequality():
@@ -517,3 +560,91 @@ def test_ks_distance_of_exact_sample_quantiles():
     f = UniformCdf()
     sample = f.quantile((np.arange(100) + 0.5) / 100)
     assert ks_distance(sample, f) <= 0.005 + 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ks_distance_rejects_non_finite_samples(bad):
+    with pytest.raises(CdfError):
+        ks_distance(np.array([0.1, bad, 0.7]), UniformCdf())
+
+
+# ----------------------------------------------------------------------
+# the hook contract: _value and _tail default to one minus each other
+# ----------------------------------------------------------------------
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_cdf_class_overrides_value_or_tail():
+    classes = [c for c in _subclasses(Cdf) if c.__module__.startswith("freemax.")]
+    assert len(classes) >= 20
+    for cls in classes:
+        if cls is FunctionCdf:
+            continue  # binds its hooks per instance and refuses to have neither
+        assert cls._value is not Cdf._value or cls._tail is not Cdf._tail, cls.__name__
+
+
+def test_function_cdf_needs_value_or_tail():
+    with pytest.raises(CdfError):
+        FunctionCdf()
+    with pytest.raises(CdfError):
+        FunctionCdf(alpha=0.0, omega=1.0, quantile_fn=lambda p: p)
+
+
+class _ParetoTwoTail(Cdf):
+    """Pareto(2) given by its tail alone."""
+
+    def __init__(self):
+        super().__init__()
+        self._alpha_cache = 1.0
+        self._omega_cache = math.inf
+
+    def _tail(self, x):
+        return np.where(x <= 1.0, 1.0, np.maximum(x, 1.0) ** -2.0)
+
+
+def test_tail_only_subclass_and_function_cdf_agree():
+    sub = _ParetoTwoTail()
+    fun = FunctionCdf(tail_fn=sub._tail, alpha=1.0, omega=math.inf)
+    xs = np.linspace(0.0, 12.0, 241)
+    ps = np.linspace(0.0, 0.99, 12)
+    np.testing.assert_array_equal(sub.value(xs), 1.0 - sub.tail(xs))
+    for method in ("value", "tail", "left"):
+        np.testing.assert_array_equal(getattr(sub, method)(xs), getattr(fun, method)(xs))
+    np.testing.assert_array_equal(sub.left(xs), sub.value(xs))
+    np.testing.assert_array_equal(sub.quantile(ps), fun.quantile(ps))
+    np.testing.assert_allclose(sub.quantile(ps[1:]), (1.0 - ps[1:]) ** -0.5, rtol=1e-12)
+    np.testing.assert_array_equal(
+        rescale(sub, 2.0, 1.0).value(xs), rescale(fun, 2.0, 1.0).value(xs)
+    )
+    np.testing.assert_array_equal(rescale(sub, 2.0, 1.0).value(xs), sub.value(2.0 * xs + 1.0))
+
+
+def _linear_quantile_per_point(xs, vs, p):
+    if p > vs[-1]:
+        return math.inf
+    if p <= vs[0]:
+        return xs[0]
+    j = int(np.searchsorted(vs, p, side="left"))
+    x0, x1, v0, v1 = xs[j - 1], xs[j], vs[j - 1], vs[j]
+    return x1 if v1 == v0 else x0 + (p - v0) * (x1 - x0) / (v1 - v0)
+
+
+@pytest.mark.parametrize(
+    "xs,vs",
+    [
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [0.1, 0.4, 0.4, 0.7, 0.9]),  # flat, ends below 1
+        ([-2.0, -0.5, 0.0, 3.0], [0.0, 0.25, 0.25, 1.0]),
+        ([1.5], [0.6]),
+        ([0.0, 1.0, 2.0], [0.3, 0.3, 0.3]),
+    ],
+)
+def test_linear_stepped_quantile_equals_the_per_point_formula(xs, vs):
+    f = SteppedCdf(xs, vs, interpolation="linear")
+    levels = np.unique(np.concatenate([np.linspace(0.001, 1.0, 97), vs, [0.95, 1.0]]))
+    levels = levels[levels > 0.0]  # quantile() maps level 0 to -inf before the hook
+    expected = [_linear_quantile_per_point(f.xs, f.vs, p) for p in levels]
+    np.testing.assert_array_equal(f.quantile(levels), expected)
+    assert f.quantile(0.0) == -math.inf

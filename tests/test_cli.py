@@ -7,9 +7,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import freemax
 from freemax.cli import EXIT_INPUT, EXIT_LAW, EXIT_USAGE, dispatch
+from freemax.laws import LawKind
 
 
 def run_json(capsys, argv):
@@ -275,7 +278,7 @@ def test_invalid_law_error(capsys):
 @pytest.mark.parametrize(
     "argv,codes",
     [
-        (["spectral", "--experiment", "conv_identity", "--N", "0", "--seed", "1"], (2, 3, 4, 5)),
+        (["spectral", "--experiment", "conv_identity", "--N", "0", "--seed", "1"], (EXIT_USAGE,)),
         (["law", "--law", '{"kind":"FreeTypeII","shape":"abc"}'], (2, 3, 4, 5)),
         (["law", "--law", '{"kind":"MarchenkoPastur","shape":Infinity}'], (EXIT_LAW,)),
         (["attract", "--law", '{"kind":"FreeTypeII","shape":1}', "--type", "I", "--n", "100"],
@@ -306,3 +309,169 @@ def test_std_normal_default_grid_spans_tail_quantiles(capsys):
 def test_seed_required_for_stochastic_commands(capsys):
     code, err = run_error(capsys, ["spectral", "--experiment", "pnorm"])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectral", "--experiment", "conv_identity", "--N", "0", "--seed", "1"],
+        ["spectral", "--experiment", "conv_identity", "--trials", "-1", "--seed", "1"],
+        ["poisson", "--partition", "part.json", "--subsets", "1", "--N", "0", "--seed", "1"],
+        ["poisson", "--partition", "part.json", "--subsets", "1", "--trials", "0", "--seed", "1"],
+        ["law", "--law", '{"kind":"Uniform"}', "--grid-size", "0"],
+        ["law", "--law", '{"kind":"Uniform"}', "--grid-size", "1"],
+        ["law", "--law", '{"kind":"Uniform"}', "--grid-size", "many"],
+        ["law", "--law", '{"kind":"Uniform"}', "--grid", "0,1,nan"],
+        ["law", "--law", '{"kind":"Uniform"}', "--grid", "0,inf,3"],
+        ["law", "--law", '{"kind":"Uniform"}', "--grid", "a,1,3"],
+        ["spectral", "--experiment", "pnorm", "--seed", "-1"],
+        ["attract", "--law", '{"kind":"FreeTypeI"}', "--type", "I", "--n", ","],
+        ["spectral", "--experiment", "general_position", "--seed", "1", "--ranks", ","],
+    ],
+    ids=["N_0", "trials_-1", "poisson_N_0", "poisson_trials_0", "grid_size_0", "grid_size_1",
+         "grid_size_word", "grid_count_nan", "grid_hi_inf", "grid_lo_word", "seed_-1",
+         "empty_n", "empty_ranks"],
+)
+def test_count_and_list_flags_are_usage_errors(capsys, argv):
+    code, err = run_error(capsys, argv)
+    assert code == EXIT_USAGE
+    assert err["error"]["code"] == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        ("samples.txt", "1.0\nx\n2.0\n"),
+        ("table.csv", "x,F\n0,0.5\nx,1\n"),
+        ("table.csv", "x,F\n0,0.5\n3\n"),
+        ("table.csv", "x,F\n0,0.5\nnan,1\n"),
+        ("part.json", '{"atoms": [{"id": "1", "mass": "heavy"}]}'),
+        ("part.json", '{"atoms": [{"id": "1", "mass": NaN}]}'),
+    ],
+    ids=["sample_word", "table_word", "table_short_row", "table_nan", "mass_word", "mass_nan"],
+)
+def test_malformed_input_files_are_input_errors(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    argv = {
+        "samples.txt": ["pot", "--samples", str(path)],
+        "table.csv": ["law", "--law-csv", str(path)],
+        "part.json": ["poisson", "--partition", str(path), "--subsets", "1", "--seed", "1"],
+    }[name]
+    code, err = run_error(capsys, argv)
+    assert code == EXIT_INPUT
+
+
+# ----------------------------------------------------------------------
+# fuzzing dispatch: any input gives a known exit code and never a traceback
+# ----------------------------------------------------------------------
+_TEXT = st.sampled_from(["0", "1", "2", "-1", "0.5", "3", "nan", "inf", "-inf", "abc", "", "1e300"])
+_COUNT = st.sampled_from(["-1", "0", "1", "2", "3", "16", "64", "nan", "x"])
+_LIST = st.sampled_from(["2,10", "1", "0", "-3", "1000000", "x", "", "2,nan", "0.5,inf"])
+_JSON_VALUE = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 0.5, 1.0, 2.0, 1e-300, 1e300]),
+    st.floats(-10.0, 10.0),
+    st.text(max_size=3),
+    st.none(),
+)
+
+
+@st.composite
+def _law_json(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["[]", "3", "{", "null", '{"shape": 1}']))
+    kinds = [k.value for k in LawKind] + ["MarchenkoPastur", "TriangularProcess", "Nope", 3]
+    law = {"kind": draw(st.sampled_from(kinds))}
+    for field in ("shape", "location", "scale"):
+        if draw(st.booleans()):
+            law[field] = draw(_JSON_VALUE)
+    return json.dumps(law)
+
+
+@st.composite
+def _grid_flags(draw):
+    choice = draw(st.integers(0, 2))
+    if choice == 1:
+        return ["--grid-size", draw(st.sampled_from(["-1", "0", "1", "2", "3", "300", "x"]))]
+    if choice == 2:
+        count = draw(st.sampled_from(["-1", "0", "1", "2", "3", "300", "nan", "x"]))
+        return ["--grid", f"{draw(_TEXT)},{draw(_TEXT)},{count}"]
+    return []
+
+
+def _optional(draw, flag, strategy):
+    return [flag, draw(strategy)] if draw(st.booleans()) else []
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, files): files maps a name in argv to the text to write there."""
+    command = draw(st.sampled_from(
+        ["law", "conv", "iterate", "stable", "attract", "pot", "spectral", "poisson"]))
+    files = {}
+    if command == "law" and draw(st.booleans()):
+        rows = st.sampled_from(["0,0.2", "1,0.5", "1,0.4", "nan,0.5", "2,1", "x,1", "3", "1,inf", ""])
+        files["table.csv"] = "\n".join(["x,F"] + draw(st.lists(rows, max_size=5))) + "\n"
+        argv = ["law", "--law-csv", "table.csv"] + draw(_grid_flags())
+    elif command in ("law", "conv"):
+        argv = [command, "--law", draw(_law_json())] + draw(_grid_flags())
+        if command == "conv":
+            ops = st.sampled_from(["free_max", "free_min", "classical", "bogus"])
+            argv += ["--law2", draw(_law_json()), "--op", draw(ops)]
+        argv += _optional(draw, "--format", st.sampled_from(["csv", "json", "xml"]))
+    elif command in ("iterate", "attract"):
+        argv = [command, "--law", draw(_law_json()), "--n", draw(_LIST),
+                "--type", draw(st.sampled_from(["I", "II", "III", "IV"]))]
+        argv += _optional(draw, "--alpha", _TEXT)
+        if command == "iterate":
+            argv += draw(_grid_flags())
+        else:
+            argv += _optional(draw, "--rv-alpha", _TEXT) + _optional(draw, "--rv-x", _LIST)
+    elif command == "stable":
+        argv = ["stable", "--law", draw(_law_json()), "--k", draw(_COUNT)]
+        argv += _optional(draw, "--tol", _TEXT)
+    elif command == "pot":
+        if draw(st.booleans()):
+            values = draw(st.lists(st.sampled_from(["0.5", "1", "2.5", "7", "nan", "inf", "x"]),
+                                   max_size=40))
+            files["samples.txt"] = "\n".join(values) + "\n"
+            argv = ["pot", "--samples", "samples.txt"] + _optional(draw, "--u", _TEXT)
+        else:
+            argv = ["pot", "--law", draw(_law_json())]
+            argv += _optional(draw, "--gamma", _TEXT) + _optional(draw, "--u-list", _LIST)
+    elif command == "spectral":
+        experiments = ["general_position", "conv_identity", "pnorm", "logexp", "bogus"]
+        argv = ["spectral", "--experiment", draw(st.sampled_from(experiments)),
+                "--N", draw(_COUNT), "--trials", draw(st.sampled_from(["-1", "0", "1", "2"]))]
+        argv += _optional(draw, "--seed", st.sampled_from(["0", "7", "-1", "x"]))
+        argv += _optional(draw, "--ranks", st.sampled_from(["1,2", "0", "100", "x"]))
+        argv += _optional(draw, "--p-list", st.sampled_from(["16", "nan", "0", "-1", "inf"]))
+    else:
+        masses = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.5, -1.0, math.nan, math.inf]),
+                           st.text(max_size=2), st.none())
+        atoms = [{"id": i, "mass": draw(masses)} for i in draw(st.lists(
+            st.sampled_from(["1", "2", "a"]), max_size=3))]
+        files["part.json"] = draw(st.sampled_from([json.dumps({"atoms": atoms}), "{", "[]"]))
+        argv = ["poisson", "--partition", "part.json", "--N", draw(_COUNT),
+                "--subsets", draw(st.sampled_from(["1", "1;2", "1,2", "z", ";", ""])),
+                "--trials", draw(st.sampled_from(["0", "1", "2"])),
+                "--seed", draw(st.sampled_from(["3", "-1"]))]
+    return argv, files
+
+
+@given(_invocations())
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_dispatch_fuzz_exits_cleanly(tmp_path, capsys, invocation):
+    argv, files = invocation
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code = dispatch(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4, 5), argv
+    assert "Traceback" not in err
+    if code:
+        lines = err.splitlines()
+        assert len(lines) == 1, argv
+        assert json.loads(lines[0])["error"]["code"] == code

@@ -47,6 +47,14 @@ def test_partition_rejects_bad_atoms():
         PART.mass(["zzz"])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_partition_rejects_non_finite_masses(bad):
+    with pytest.raises(CdfError):
+        Partition.from_pairs([("a", 0.3), ("b", bad)])
+    with pytest.raises(CdfError):
+        Partition.from_json(json.dumps({"atoms": [{"id": "a", "mass": bad}]}))
+
+
 def test_small_n_warns_on_starved_atom():
     tiny = Partition.from_pairs([("a", 0.01)])
     with pytest.warns(UserWarning):
