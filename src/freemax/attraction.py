@@ -176,6 +176,13 @@ def convergence_report(
 # ----------------------------------------------------------------------
 # regular variation diagnostics
 # ----------------------------------------------------------------------
+def _rv_power(x: float, e: float) -> float:
+    try:
+        return x**e
+    except OverflowError:
+        raise CdfError(f"{x!r}**{e!r} overflows: regular variation exponent out of range") from None
+
+
 def rv_check(
     f: Cdf,
     alpha: float,
@@ -189,8 +196,10 @@ def rv_check(
     ``scale_list``; ``at_endpoint`` compares Fbar(omega - x h)/Fbar(omega - h)
     with x^alpha for h in ``scale_list`` (finite endpoint required).
     """
-    if not alpha > 0:
-        raise CdfError("regular variation exponent must be positive")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise CdfError("regular variation exponent must be positive and finite")
+    if not all(x > 0 and math.isfinite(x) for x in x_list):
+        raise CdfError("regular variation test points must be positive and finite")
     worst = 0.0
     if mode == "at_infinity":
         for t in scale_list:
@@ -199,7 +208,7 @@ def rv_check(
                 raise CdfError(f"tail vanishes at scale t={t}: beyond effective support")
             for x in x_list:
                 ratio = f.tail(t * x) / base
-                worst = max(worst, abs(ratio - x ** (-alpha)))
+                worst = max(worst, abs(ratio - _rv_power(x, -alpha)))
         return worst
     if mode == "at_endpoint":
         omega = f.omega
@@ -211,7 +220,7 @@ def rv_check(
                 raise CdfError(f"tail vanishes at offset h={h}: beyond effective support")
             for x in x_list:
                 ratio = f.tail(omega - x * h) / base
-                worst = max(worst, abs(ratio - x**alpha))
+                worst = max(worst, abs(ratio - _rv_power(x, alpha)))
         return worst
     raise CdfError(f"unknown regular-variation mode {mode!r}")
 

@@ -1,18 +1,24 @@
 """Finite-dimensional spectral order: projections, joins/meets, a v b.
 
-Hermitian matrices carry an eagerly computed spectral resolution;
-projections are stored as orthonormal range bases.  The lattice meet uses
-principal angles, the join a rank-revealing orthonormalization, and the
-spectral max/min of two matrices are assembled directly from joins of
-upper spectral projections, so the output's eigenvalues are exactly
-members of the inputs' spectra (no re-diagonalization noise).  Haar
-sampling and derived seeds make every randomized experiment replayable.
+Hermitian matrices carry their spectral resolution; the dense matrix is
+built from it only when read.  Projections are stored as orthonormal
+range bases.  Join and meet come from one SVD of the residual (I - PP*)Q,
+whose singular values are the principal sines of range(q) against
+range(p): directions with sine above RANK_RTOL extend p to the join, the
+others span the meet.  The spectral max/min of two matrices are
+assembled directly from joins of upper spectral projections, by one
+Householder QR of the merged eigenvectors in general position and a
+column sweep from the first tie or shared direction on, so the output's
+eigenvalues are exactly members of the inputs' spectra (no
+re-diagonalization noise).  Haar sampling and derived seeds make every
+randomized experiment replayable.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -45,12 +51,14 @@ __all__ = [
     "write_eigenvalues_csv",
 ]
 
-#: A singular value counts as nonzero iff it exceeds this times the largest.
+#: A principal angle with sine above this separates two ranges; at or below
+#: it the direction is shared.
 RANK_RTOL = 1e-9
-#: Principal-angle cosines at least 1 - ANGLE_TOL indicate a shared direction.
-ANGLE_TOL = 1e-9
 #: Eigenvalues within this of a threshold go to the closed side of the interval.
 EIG_TIE_TOL = 1e-9
+#: In spectral_max a merged eigenvector enlarges the joined range iff its
+#: residual against the vectors accepted before it has norm above this.
+ACCEPT_TOL = 1e-8
 
 HERMITIAN_TOL = 1e-12
 
@@ -97,7 +105,9 @@ class HermitianMatrix:
 
     Real-symmetric by default; pass a complex array for the Hermitian
     backend.  ``tau`` is the normalized trace Tr/N.  Instances are
-    immutable: the arrays are set once and never written again.
+    immutable: the arrays are set once and never written again.  A matrix
+    built from an array keeps that (symmetrized) array; one built from
+    spectral data builds ``array`` on first read.
     """
 
     def __init__(self, array: np.ndarray):
@@ -110,36 +120,48 @@ class HermitianMatrix:
         array = 0.5 * (array + array.conj().T)
         if np.isrealobj(array):
             array = array.astype(float, copy=False)
-        eigenvalues, eigenvectors = np.linalg.eigh(array)
-        self._init_from(array, eigenvalues, eigenvectors)
-
-    def _init_from(self, array, eigenvalues, eigenvectors):
-        self.array = array
-        self.eigenvalues = np.asarray(eigenvalues, dtype=float)
-        self.eigenvectors = eigenvectors
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(array)
         self.n = array.shape[0]
+        self.array = array
 
     @classmethod
     def from_spectrum(cls, eigenvalues, eigenvectors) -> "HermitianMatrix":
-        """Assemble from known spectral data (kept exactly, no re-eigh)."""
-        eigenvalues = np.asarray(eigenvalues, dtype=float).ravel()
+        """Assemble from known spectral data (kept exactly, no re-eigh).
+
+        The eigenvectors must be orthonormal; ``array`` is built on first
+        read.
+        """
         vecs = np.asarray(eigenvectors)
+        obj = cls._assemble(eigenvalues, vecs)
+        gram_err = float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(obj.n))))
+        if gram_err > 1e-8:
+            raise CdfError("eigenvector matrix is not orthonormal")
+        return obj
+
+    @classmethod
+    def _assemble(cls, eigenvalues, vecs) -> "HermitianMatrix":
+        """``from_spectrum`` without the orthonormality check, for vectors
+        that already belong to a ``HermitianMatrix``."""
+        eigenvalues = np.asarray(eigenvalues, dtype=float).ravel()
         n = vecs.shape[0]
         if vecs.shape != (n, n) or eigenvalues.size != n:
             raise CdfError("spectral data must be a full n x n eigensystem")
-        gram_err = float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(eigenvalues.size))))
-        if gram_err > 1e-8:
-            raise CdfError("eigenvector matrix is not orthonormal")
         order = np.argsort(eigenvalues, kind="stable")
-        eigenvalues = eigenvalues[order]
-        vecs = vecs[:, order]
-        array = (vecs * eigenvalues) @ vecs.conj().T
+        obj = cls.__new__(cls)
+        obj.eigenvalues = eigenvalues[order]
+        obj.eigenvectors = vecs[:, order]
+        obj.n = n
+        return obj
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """Dense matrix V diag(lambda) V*, built on first read."""
+        vecs = self.eigenvectors
+        array = (vecs * self.eigenvalues) @ vecs.conj().T
         array = 0.5 * (array + array.conj().T)
         if np.isrealobj(array):
             array = array.astype(float, copy=False)
-        obj = cls.__new__(cls)
-        obj._init_from(array, eigenvalues, vecs)
-        return obj
+        return array
 
     @property
     def tau(self) -> float:
@@ -148,13 +170,13 @@ class HermitianMatrix:
 
     def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> "HermitianMatrix":
         """Functional calculus: apply ``fn`` to the eigenvalues."""
-        return HermitianMatrix.from_spectrum(fn(self.eigenvalues), self.eigenvectors)
+        return HermitianMatrix._assemble(fn(self.eigenvalues), self.eigenvectors)
 
     def shifted(self, c: float) -> "HermitianMatrix":
-        return HermitianMatrix.from_spectrum(self.eigenvalues + c, self.eigenvectors)
+        return HermitianMatrix._assemble(self.eigenvalues + c, self.eigenvectors)
 
     def neg(self) -> "HermitianMatrix":
-        return HermitianMatrix.from_spectrum(-self.eigenvalues, self.eigenvectors)
+        return HermitianMatrix._assemble(-self.eigenvalues, self.eigenvectors)
 
     def __repr__(self):
         lo = self.eigenvalues[0] if self.n else math.nan
@@ -232,55 +254,93 @@ def spectral_projection(a: HermitianMatrix, t: float, kind: str = "closed_up") -
     return Projection(a.eigenvectors[:, mask], dim=a.n)
 
 
+def _principal_sines(p: Projection, q: Projection, vectors: bool = False):
+    """SVD of the residual (I - PP*)Q of q's basis against range(p).
+
+    Its singular values are the sines of the principal angles of range(q)
+    against range(p) (Bjorck & Golub 1973).  Two projection passes keep
+    the residual orthogonal to range(p) down to rounding.  With
+    ``vectors`` returns ``(u, s, vh)``, else ``s`` alone.
+    """
+    resid = q.basis - p.basis @ (p.basis.conj().T @ q.basis)
+    resid = resid - p.basis @ (p.basis.conj().T @ resid)
+    if vectors:
+        return np.linalg.svd(resid, full_matrices=False)
+    return np.linalg.svd(resid, compute_uv=False)
+
+
+def _join_meet_split(p: Projection, q: Projection):
+    """Principal directions of q against p, split at sine RANK_RTOL.
+
+    Returns ``(new, shared)``: orthonormal directions outside range(p)
+    that extend p to the join, and the directions of range(q) that lie in
+    range(p), which span the meet.  Together they count q's r2 principal
+    directions once each, so rank(join) + rank(meet) = r1 + r2.
+    """
+    u, s, vh = _principal_sines(p, q, vectors=True)
+    grow = s > RANK_RTOL
+    new = u[:, grow]
+    # a direction with a small sine keeps a component in range(p) of
+    # about eps / sine; one more projection removes it
+    new = new - p.basis @ (p.basis.conj().T @ new)
+    shared = q.basis @ vh[~grow].conj().T
+    return new, shared
+
+
 def proj_join(p: Projection, q: Projection) -> Projection:
-    """Lattice join: projection onto the closed span of both ranges."""
+    """Lattice join: projection onto the closed span of both ranges.
+
+    p's basis extended by the principal directions of q whose sine
+    against range(p) exceeds RANK_RTOL.
+    """
     _check_same_dim(p, q)
     if p.rank == 0:
         return q
     if q.rank == 0:
         return p
-    stacked = np.hstack([p.basis, q.basis])
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    keep = s > RANK_RTOL * s[0]
-    return Projection(u[:, keep], dim=p.n)
+    new, _ = _join_meet_split(p, q)
+    return Projection(np.hstack([p.basis, new]), dim=p.n)
 
 
 def proj_meet(p: Projection, q: Projection) -> Projection:
     """Lattice meet: projection onto the range intersection.
 
-    Principal directions with cosine >= 1 - ANGLE_TOL are taken as common
-    to both ranges.
+    Spanned by the principal directions of q whose sine against range(p)
+    is at most RANK_RTOL, the directions ``proj_join`` does not add.
     """
     _check_same_dim(p, q)
     if p.rank == 0 or q.rank == 0:
         return Projection.zero(p.n)
-    overlap = p.basis.conj().T @ q.basis
-    u, s, _ = np.linalg.svd(overlap, full_matrices=False)
-    keep = s >= 1.0 - ANGLE_TOL
-    if not np.any(keep):
-        return Projection.zero(p.n)
-    basis = p.basis @ u[:, keep]
-    # re-orthonormalize for hygiene; ranks are decided above
-    qbasis, _ = np.linalg.qr(basis)
-    return Projection(qbasis, dim=p.n)
+    _, shared = _join_meet_split(p, q)
+    return Projection(shared, dim=p.n)
 
 
 def range_contains(outer: Projection, inner: Projection) -> bool:
-    """True when range(inner) lies inside range(outer) (angle tolerance)."""
+    """True when range(inner) lies inside range(outer): every principal
+    sine of inner against outer is at most RANK_RTOL."""
     _check_same_dim(outer, inner)
     if inner.rank == 0:
         return True
     if outer.rank < inner.rank:
         return False
-    s = np.linalg.svd(outer.basis.conj().T @ inner.basis, compute_uv=False)
-    return s.size >= inner.rank and bool(np.min(s) >= 1.0 - ANGLE_TOL)
+    return bool(_principal_sines(outer, inner)[0] <= RANK_RTOL)
 
 
 def general_position_check(p: Projection, q: Projection, tol: float = 1e-9) -> bool:
-    """Trace law test: tau(join) = min(tau p + tau q, 1) and the meet dual."""
+    """Trace law test: tau(join) = min(tau p + tau q, 1) and the meet dual.
+
+    The ranks follow the sine rule of ``proj_join`` and ``proj_meet``,
+    from singular values alone: the principal sines of q against p above
+    RANK_RTOL add to p's rank for the join, the rest of q's rank is the
+    meet's.
+    """
     _check_same_dim(p, q)
-    join_tau = proj_join(p, q).tau
-    meet_tau = proj_meet(p, q).tau
+    if p.rank == 0 or q.rank == 0:
+        grow = q.rank
+    else:
+        grow = int(np.count_nonzero(_principal_sines(p, q) > RANK_RTOL))
+    join_tau = (p.rank + grow) / p.n
+    meet_tau = (q.rank - grow) / p.n
     want_join = min(p.tau + q.tau, 1.0)
     want_meet = max(0.0, p.tau + q.tau - 1.0)
     return abs(join_tau - want_join) <= tol and abs(meet_tau - want_meet) <= tol
@@ -289,15 +349,16 @@ def general_position_check(p: Projection, q: Projection, tol: float = 1e-9) -> b
 # ----------------------------------------------------------------------
 # spectral max / min
 # ----------------------------------------------------------------------
-def _merge_batches(values: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """Group sorted-descending values that agree within EIG_TIE_TOL."""
-    batches = []
+def _batch_levels(values: np.ndarray) -> np.ndarray:
+    """Level of each sorted-descending value: the first value of its batch,
+    a batch being a run that stays within EIG_TIE_TOL of its first value."""
+    levels = np.empty_like(values)
     start = 0
     for i in range(1, values.size + 1):
         if i == values.size or values[start] - values[i] > EIG_TIE_TOL:
-            batches.append((float(values[start]), np.arange(start, i)))
+            levels[start:i] = values[start]
             start = i
-    return batches
+    return levels
 
 
 def spectral_max(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
@@ -306,10 +367,17 @@ def spectral_max(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     Its upper spectral projections are the joins of the inputs': sweeping
     the merged spectrum downward, each eigenvector that enlarges the
     running joined range contributes an output eigenvalue equal to the
-    level at which it entered.  Equivalently the output is
-    sum_i t_i (Q_{i-1} - Q_i) for the join family Q_i, assembled here by
-    incremental orthonormalization so output eigenvalues are exact copies
-    of input ones.
+    level of its tie batch.  Equivalently the output is
+    sum_i t_i (Q_{i-1} - Q_i) for the join family Q_i, so output
+    eigenvalues are exact copies of input ones.
+
+    A column enlarges the range iff its residual against the columns
+    accepted before it has norm above ACCEPT_TOL.  In general position
+    the first N merged columns all do, and one Householder QR of that
+    block gives the output basis (Golub & Van Loan, Matrix Computations,
+    5.2).  From the first column whose |R_jj| is at most ACCEPT_TOL (a tie
+    or a shared direction) the sweep goes on column by column with two
+    rounds of classical Gram-Schmidt.
     """
     _check_same_dim(a, b)
     n = a.n
@@ -318,36 +386,35 @@ def spectral_max(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     vecs = vecs[:, order]
-    basis = np.zeros((n, 0), dtype=vecs.dtype)
-    out_vals: list[float] = []
-    out_cols: list[np.ndarray] = []
-    for value, idx in _merge_batches(lam):
-        if basis.shape[1] >= n:
+    levels = _batch_levels(lam)
+    q, r = np.linalg.qr(vecs[:, :n])
+    diag = np.diagonal(r)
+    failed = np.flatnonzero(np.abs(diag) <= ACCEPT_TOL)
+    k = int(failed[0]) if failed.size else n
+    basis = np.empty((n, n), dtype=vecs.dtype, order="F")
+    # unit phases of R's diagonal turn Q's columns into the normalized residuals
+    basis[:, :k] = q[:, :k] * (diag[:k] / np.abs(diag[:k]))
+    out_vals = np.empty(n)
+    out_vals[:k] = levels[:k]
+    for j in range(k, lam.size):
+        if k >= n:
             break
-        for j in idx:
-            col = vecs[:, j]
-            # two rounds of Gram-Schmidt keep the basis orthonormal
-            for _ in range(2):
-                if basis.shape[1]:
-                    col = col - basis @ (basis.conj().T @ col)
-            norm = float(np.linalg.norm(col))
-            if norm > 1e-8:
-                col = col / norm
-                basis = np.hstack([basis, col[:, None]])
-                out_vals.append(value)
-                out_cols.append(col)
-            if basis.shape[1] >= n:
-                break
-    if basis.shape[1] < n:
+        col = vecs[:, j]
+        accepted = basis[:, :k]
+        for _ in range(2):
+            col = col - accepted @ (accepted.conj().T @ col)
+        norm = float(np.linalg.norm(col))
+        if norm > ACCEPT_TOL:
+            basis[:, k] = col / norm
+            out_vals[k] = levels[j]
+            k += 1
+    if k < n:
         # residual directions sit below every level where the joined
         # family grows; they belong to the lowest merged value
-        q, _ = np.linalg.qr(np.hstack([basis, np.eye(n, dtype=basis.dtype)]))
-        fill = q[:, basis.shape[1] : n]
-        floor = float(lam[-1])
-        for k in range(fill.shape[1]):
-            out_vals.append(floor)
-            out_cols.append(fill[:, k])
-    return HermitianMatrix.from_spectrum(np.asarray(out_vals), np.column_stack(out_cols))
+        fill, _ = np.linalg.qr(np.hstack([basis[:, :k], np.eye(n, dtype=basis.dtype)]))
+        basis[:, k:] = fill[:, k:n]
+        out_vals[k:] = lam[-1]
+    return HermitianMatrix.from_spectrum(out_vals, basis)
 
 
 def spectral_min(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:

@@ -226,6 +226,23 @@ def test_rv_rejects_dead_tail():
         rv_check(UniformCdf(), 1.0, "at_infinity", [2.0], [5.0])
 
 
+@pytest.mark.parametrize(
+    "alpha,mode,xs",
+    [
+        (1e300, "at_infinity", [0.5, 2.0]),  # 0.5**-1e300 overflows
+        (1e300, "at_endpoint", [0.5, 2.0]),  # 2.0**1e300 overflows
+        (math.inf, "at_infinity", [0.5, 2.0]),
+        (math.nan, "at_infinity", [0.5, 2.0]),
+        (2.0, "at_infinity", [0.0, 2.0]),
+        (2.0, "at_infinity", [math.nan]),
+    ],
+)
+def test_rv_rejects_out_of_range_exponents_and_points(alpha, mode, xs):
+    with pytest.raises(CdfError):
+        rv_check(ParetoCdf(2.0) if mode == "at_infinity" else UniformCdf(), alpha, mode, xs,
+                 [10.0] if mode == "at_infinity" else [0.01])
+
+
 # ----------------------------------------------------------------------
 # GPD fitting
 # ----------------------------------------------------------------------

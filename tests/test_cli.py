@@ -129,6 +129,16 @@ def test_stable_true_and_false(capsys):
     assert doc["payload"]["sup_distance"] > 1e-3
 
 
+def test_attract_huge_rv_alpha_is_a_law_error(capsys):
+    code, err = run_error(
+        capsys,
+        ["attract", "--law", '{"kind":"ClassicalGumbel"}', "--n", "2,10", "--type", "II",
+         "--rv-alpha", "1e300"],
+    )
+    assert code == EXIT_LAW
+    assert "overflows" in err["error"]["message"]
+
+
 def test_attract_command(capsys):
     doc = run_json(
         capsys,
@@ -178,6 +188,17 @@ def test_spectral_general_position(capsys):
     records = doc["payload"]["records"]
     assert len(records) == 18
     assert all(r["value"] == 1.0 for r in records)
+
+
+def test_spectral_general_position_complementary_ranks(capsys):
+    # trial 6 draws ranks 40 and 10 at N = 50: complementary ranges whose
+    # smallest principal sine is about 1.7e-5, well above RANK_RTOL
+    doc = run_json(
+        capsys,
+        ["spectral", "--experiment", "general_position", "--N", "50", "--trials", "9",
+         "--seed", "725837869"],
+    )
+    assert [r["value"] for r in doc["payload"]["records"]] == [1.0] * 9
 
 
 def test_spectral_conv_identity(capsys):

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from freemax.cdf import CdfError, free_max_conv, free_min_conv, sup_distance
-from freemax.poisson import mp_cdf
+from freemax.poisson import Partition, mp_cdf, realize_triangular_process
 from freemax.spectral import (
+    EIG_TIE_TOL,
+    RANK_RTOL,
     HermitianMatrix,
     Projection,
     RngSeed,
     empirical_spectral_cdf,
     general_position_check,
     haar_conjugate,
+    haar_orthogonal,
     haar_projection,
     logexp_approx,
     pnorm_approx,
@@ -48,6 +51,51 @@ def test_hermitian_reconstruction():
     a, _ = _random_pair(12, 5)
     recon = (a.eigenvectors * a.eigenvalues) @ a.eigenvectors.T
     assert np.linalg.norm(recon - a.array) <= 1e-10 * max(1.0, np.linalg.norm(a.array))
+
+
+def _eager_array(vals, vecs):
+    order = np.argsort(np.asarray(vals, dtype=float), kind="stable")
+    vals, vecs = np.asarray(vals, dtype=float)[order], vecs[:, order]
+    array = (vecs * vals) @ vecs.conj().T
+    array = 0.5 * (array + array.conj().T)
+    return array.astype(float, copy=False) if np.isrealobj(array) else array
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_lazy_array_matches_eager_formula(complex_field):
+    rng = rng_from_seed(17, 0)
+    vals = rng.random(30)
+    vecs = haar_orthogonal(30, 17, 1, complex_field=complex_field)
+    a = HermitianMatrix.from_spectrum(vals, vecs)
+    assert "array" not in vars(a)
+    np.testing.assert_array_equal(a.array, _eager_array(vals, vecs))
+    assert a.array is a.array
+    derived = [
+        (a.neg(), -a.eigenvalues),
+        (a.shifted(0.25), a.eigenvalues + 0.25),
+        (a.apply(np.sqrt), np.sqrt(a.eigenvalues)),
+    ]
+    for m, want in derived:
+        np.testing.assert_array_equal(m.array, _eager_array(want, a.eigenvectors))
+
+
+def test_from_spectrum_rejects_non_orthonormal_vectors():
+    vecs = haar_orthogonal(6, 3)
+    vecs[:, 2] *= 1.0 + 1e-6
+    with pytest.raises(CdfError):
+        HermitianMatrix.from_spectrum(np.arange(6.0), vecs)
+    with pytest.raises(CdfError):
+        HermitianMatrix.from_spectrum(np.arange(5.0), haar_orthogonal(6, 3))
+
+
+def test_hermitian_keeps_its_input_array():
+    rng = rng_from_seed(8, 0)
+    x = rng.standard_normal((9, 9))
+    x = x + x.T
+    np.testing.assert_array_equal(HermitianMatrix(x).array, x)
+    y = x.copy()
+    y[0, 1] += 1e-13
+    np.testing.assert_array_equal(HermitianMatrix(y).array, 0.5 * (y + y.T))
 
 
 def test_projection_validates_orthonormality():
@@ -135,6 +183,57 @@ def test_general_position_fails_for_equal_lines():
     assert not general_position_check(p, p)
 
 
+def test_join_meet_ranks_add_up_on_complementary_ranges():
+    # r1 + r2 = N: both ranges together span the space while the smallest
+    # principal sine can be small; one sine rule decides join and meet
+    for trial in range(20):
+        p = haar_projection(50, 40, 725837869, trial, 0)
+        q = haar_projection(50, 10, 725837869, trial, 1)
+        join, meet = proj_join(p, q), proj_meet(p, q)
+        assert (join.rank, meet.rank) == (50, 0)
+        assert general_position_check(p, q)
+
+
+def test_join_and_meet_of_nested_ranges():
+    p = haar_projection(40, 12, 5, 0)
+    inner = Projection(p.basis[:, :5])
+    q = proj_join(inner, haar_projection(40, 6, 5, 1))
+    meet = proj_meet(p, q)
+    assert meet.rank == 5
+    assert np.linalg.norm(meet.matrix - inner.matrix) < 1e-10
+    assert proj_join(p, q).rank == 12 + 6
+    assert range_contains(p, inner)
+    assert range_contains(q, inner)
+    assert not range_contains(inner, p)
+    assert not range_contains(p, q)
+
+
+@pytest.mark.parametrize("theta", [2e-9, 1e-8, 1e-6])
+def test_join_basis_stays_orthonormal_at_small_sines(theta):
+    # q mixes large principal angles with small ones against p: the small
+    # directions' residuals keep a component in range(p) of about eps/theta
+    # unless they are projected once more
+    n, r1, r2 = 80, 40, 15
+    u = haar_orthogonal(n, 3)
+    angles = np.full(r2, theta)
+    angles[:7] = np.linspace(0.3, 1.5, 7)
+    for seed in range(5):
+        p = Projection(u[:, :r1] @ haar_orthogonal(r1, seed, 1))
+        q_basis = np.cos(angles) * u[:, :r2] + np.sin(angles) * u[:, r1 : r1 + r2]
+        q = Projection(q_basis @ haar_orthogonal(r2, seed, 2))
+        join, meet = proj_join(p, q), proj_meet(p, q)
+        assert (join.rank, meet.rank) == (r1 + r2, 0)
+        assert np.max(np.abs(join.basis.T @ join.basis - np.eye(join.rank))) <= 1e-13
+
+
+def test_range_contains_uses_the_sine_tolerance():
+    e = np.eye(3)
+    outer = Projection(e[:, :2])
+    for angle, inside in [(0.5 * RANK_RTOL, True), (2.0 * RANK_RTOL, False), (1e-6, False)]:
+        v = math.cos(angle) * e[:, 0] + math.sin(angle) * e[:, 2]
+        assert range_contains(outer, Projection(v[:, None])) is inside
+
+
 def test_haar_projection_edges():
     assert haar_projection(8, 0, 1).rank == 0
     full = haar_projection(8, 8, 1)
@@ -148,6 +247,121 @@ def test_haar_projection_edges():
 # ----------------------------------------------------------------------
 # spectral max / min
 # ----------------------------------------------------------------------
+def _reference_spectral_max(a, b):
+    """The column-by-column sweep: two rounds of classical Gram-Schmidt per
+    merged eigenvector, accepted at residual norm above 1e-8."""
+    n = a.n
+    lam = np.concatenate([a.eigenvalues, b.eigenvalues])
+    vecs = np.hstack([a.eigenvectors, b.eigenvectors])
+    order = np.argsort(-lam, kind="stable")
+    lam = lam[order]
+    vecs = vecs[:, order]
+    batches, start = [], 0
+    for i in range(1, lam.size + 1):
+        if i == lam.size or lam[start] - lam[i] > EIG_TIE_TOL:
+            batches.append((float(lam[start]), range(start, i)))
+            start = i
+    basis = np.zeros((n, 0), dtype=vecs.dtype)
+    out_vals, out_cols = [], []
+    for value, idx in batches:
+        if basis.shape[1] >= n:
+            break
+        for j in idx:
+            col = vecs[:, j]
+            for _ in range(2):
+                if basis.shape[1]:
+                    col = col - basis @ (basis.conj().T @ col)
+            norm = float(np.linalg.norm(col))
+            if norm > 1e-8:
+                col = col / norm
+                basis = np.hstack([basis, col[:, None]])
+                out_vals.append(value)
+                out_cols.append(col)
+            if basis.shape[1] >= n:
+                break
+    if basis.shape[1] < n:
+        q, _ = np.linalg.qr(np.hstack([basis, np.eye(n, dtype=basis.dtype)]))
+        fill = q[:, basis.shape[1] : n]
+        for k in range(fill.shape[1]):
+            out_vals.append(float(lam[-1]))
+            out_cols.append(fill[:, k])
+    return HermitianMatrix.from_spectrum(np.asarray(out_vals), np.column_stack(out_cols))
+
+
+def _qr_front(a, b):
+    """How many leading merged columns the Householder QR accepts."""
+    lam = np.concatenate([a.eigenvalues, b.eigenvalues])
+    vecs = np.hstack([a.eigenvectors, b.eigenvectors])[:, np.argsort(-lam, kind="stable")]
+    diag = np.abs(np.diagonal(np.linalg.qr(vecs[:, : a.n])[1]))
+    failed = np.flatnonzero(diag <= 1e-8)
+    return int(failed[0]) if failed.size else a.n
+
+
+def _lattice_pair(n, seed):
+    # a on odd multiples of 2^-11, b on 40 even multiples, each repeated
+    # and jittered by up to 1e-11: b's tie batches hold unequal values
+    rng = rng_from_seed(seed, 5)
+    spec_a = (2 * rng.choice(1024, size=n, replace=False) + 1) / 2048.0
+    spec_b = (2 * rng.integers(0, 1024, size=40))[rng.integers(0, 40, size=n)] / 2048.0
+    spec_b = spec_b + 1e-11 * rng.random(n)
+    a = haar_conjugate(HermitianMatrix(np.diag(np.sort(spec_a))), seed, 0)
+    b = haar_conjugate(HermitianMatrix(np.diag(np.sort(spec_b))), seed, 1)
+    return a, b
+
+
+def _triangular_pair():
+    # masses sum to 0.7 < 1: both inputs and their max keep a tied zero level
+    part = Partition.from_pairs([("x", 0.3), ("y", 0.25), ("z", 0.15)])
+    real = realize_triangular_process(part, 120, 44)
+    return spectral_max(real["x"], real["y"]), real["z"]
+
+
+def _diagonal_pair():
+    # both eigenbases are the standard basis: the QR meets a repeated
+    # column at once and the sweep does nearly all the work
+    rng = rng_from_seed(812, 0)
+    d1 = HermitianMatrix(np.diag(rng.integers(0, 4, size=30) / 4.0))
+    d2 = HermitianMatrix(np.diag(rng.integers(0, 4, size=30) / 4.0))
+    return d1, d2
+
+
+def _self_pair(shift):
+    a, _ = _random_pair(40, 811)
+    return a, a.shifted(shift)
+
+
+def _tied_self_pair():
+    _, b = _lattice_pair(200, 809)
+    return b, b
+
+
+# case -> (inputs, path the QR front predicts: "qr" for all N columns)
+ORACLE_CASES = {
+    "generic_haar_200": (lambda: _random_pair(200, 808), "qr"),
+    "tied_lattices_200": (lambda: _lattice_pair(200, 809), "qr"),
+    "a_v_a": (lambda: _self_pair(0.0), "sweep"),
+    "a_v_a_shifted": (lambda: _self_pair(0.5), "sweep"),
+    "tied_b_v_b": (_tied_self_pair, "sweep"),
+    "standard_basis_diagonals": (_diagonal_pair, "sweep"),
+    "triangular_snapshot": (_triangular_pair, "qr"),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_spectral_max_matches_column_sweep(case):
+    build, path = ORACLE_CASES[case]
+    a, b = build()
+    assert (_qr_front(a, b) == a.n) == (path == "qr")
+    if case == "standard_basis_diagonals":
+        assert _qr_front(a, b) < a.n // 2
+    ours = spectral_max(a, b)
+    ref = _reference_spectral_max(a, b)
+    assert ours.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+    assert np.max(np.abs(ours.array - ref.array)) <= 1e-12
+    vecs = ours.eigenvectors
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(a.n))) <= 1e-12
+
+
 def test_spectral_max_commuting_diagonals():
     a = HermitianMatrix(np.diag([1.0, 3.0]))
     b = HermitianMatrix(np.diag([2.0, 2.0]))
