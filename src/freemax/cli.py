@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -37,20 +38,8 @@ from .cdf import (
     threshold_un,
     write_cdf_table,
 )
-from .laws import (
-    LawKind,
-    LawSpec,
-    _finite_float,
-    make_law,
-    verify_max_stable,
-)
-from .poisson import (
-    Partition,
-    extremal_process_report,
-    mp_cdf,
-    sample_free_poisson_matrix,
-    triangular_law_cdf,
-)
+from .laws import LawKind, LawSpec, make_law, verify_max_stable
+from .poisson import Partition, extremal_process_report, sample_free_poisson_matrix
 from .spectral import (
     HermitianMatrix,
     empirical_spectral_cdf,
@@ -90,7 +79,7 @@ class _Parser(argparse.ArgumentParser):
 # argument helpers
 # ----------------------------------------------------------------------
 def _load_law(text: Optional[str], path: Optional[str]) -> Cdf:
-    """A law from inline JSON, an extended inline kind, or a CSV table."""
+    """A law from inline JSON or a CSV table."""
     if (text is None) == (path is None):
         raise CliError(EXIT_USAGE, "exactly one of --law / --law-csv is required")
     if path is not None:
@@ -100,15 +89,6 @@ def _load_law(text: Optional[str], path: Optional[str]) -> Cdf:
             raise CliError(EXIT_INPUT, f"cannot read CDF table {path}: {exc}")
         except (ValueError, IndexError) as exc:  # CdfError is a ValueError
             raise CliError(EXIT_INPUT, f"bad CDF table {path}: {exc}")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_LAW, f"invalid law JSON: {exc}")
-    kind = raw.get("kind") if isinstance(raw, dict) else None
-    if kind in ("MarchenkoPastur", "TriangularProcess"):
-        shape = raw.get("shape")
-        shape = 1.0 if shape is None else _finite_float(shape, "shape")
-        return mp_cdf(shape) if kind == "MarchenkoPastur" else triangular_law_cdf(shape)
     return make_law(LawSpec.from_json(text))
 
 
@@ -487,8 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args.func(args)
+        # stderr carries only the JSON error; reports carry their own notices
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            args = parser.parse_args(argv)
+            args.func(args)
         return 0
     except CliError as exc:
         sys.stderr.write(json.dumps({"error": {"code": exc.code, "message": str(exc)}}) + "\n")

@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy import special
 
+from . import poisson
 from .cdf import (
     Cdf,
     CdfError,
@@ -66,6 +67,8 @@ class LawKind(str, Enum):
     CLASSICAL_WEIBULL = "ClassicalWeibull"
     UNIFORM = "Uniform"
     STD_NORMAL = "StdNormal"
+    MARCHENKO_PASTUR = "MarchenkoPastur"
+    TRIANGULAR_PROCESS = "TriangularProcess"
 
 
 _NEEDS_POSITIVE_SHAPE = {
@@ -384,6 +387,10 @@ _CANONICAL = {
     LawKind.CLASSICAL_WEIBULL: lambda shape: WeibullCdf(shape),
     LawKind.UNIFORM: lambda shape: UniformCdf(),
     LawKind.STD_NORMAL: lambda shape: StdNormalCdf(),
+    # looked up on the module at call time, so a wrapper installed there applies
+    LawKind.MARCHENKO_PASTUR: lambda shape: poisson.mp_cdf(1.0 if shape is None else shape),
+    LawKind.TRIANGULAR_PROCESS: lambda shape: poisson.triangular_law_cdf(
+        1.0 if shape is None else shape),
 }
 
 

@@ -25,7 +25,6 @@ from .spectral import (
     SeedLike,
     derive_seed,
     haar_orthogonal,
-    proj_join,
     rng_from_seed,
     spectral_max,
 )
@@ -35,6 +34,7 @@ __all__ = [
     "ProcessRecord",
     "ProcessReport",
     "RANGE_TOL",
+    "MAX_TOTAL_MASS",
     "sample_free_poisson_matrix",
     "range_projection",
     "mp_cdf",
@@ -46,6 +46,9 @@ __all__ = [
 
 #: Eigenvalues above RANGE_TOL * lambda_max count as range directions.
 RANGE_TOL = 1e-8
+
+#: Largest total partition mass: ranks saturate at mass 1, more only adds columns.
+MAX_TOTAL_MASS = 16.0
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,8 @@ class Partition:
             seen.add(atom_id)
             if not 0.0 <= mass < math.inf:
                 raise CdfError(f"atom {atom_id!r} needs a finite nonnegative mass, got {mass!r}")
+        if self.total_mass > MAX_TOTAL_MASS:
+            raise CdfError(f"total mass {self.total_mass} exceeds MAX_TOTAL_MASS = {MAX_TOTAL_MASS}")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[str, float]]) -> "Partition":
@@ -118,17 +123,17 @@ def _atom_block(partition: Partition, index: int, count: int, n: int, seed: Seed
     return rng.standard_normal((n, count)) / math.sqrt(n)
 
 
-def _subset_blocks(partition: Partition, subset: Iterable[str], n: int, seed: SeedLike) -> list:
-    """The subset's atom blocks in partition order; atoms without columns own none."""
+def _subset_blocks(partition: Partition, subset: Iterable[str], n: int, seed: SeedLike) -> dict:
+    """The subset's atom blocks by atom id, in partition order; atoms without columns own none."""
     if n < 8:
         raise CdfError("free Poisson sampling needs N >= 8")
     chosen = partition._validate(subset)
     counts = partition.column_counts(n)
-    return [
-        _atom_block(partition, index, counts[atom_id], n, seed)
+    return {
+        atom_id: _atom_block(partition, index, counts[atom_id], n, seed)
         for index, (atom_id, _) in enumerate(partition.atoms)
         if atom_id in chosen and counts[atom_id] > 0
-    ]
+    }
 
 
 def sample_free_poisson_matrix(
@@ -142,23 +147,24 @@ def sample_free_poisson_matrix(
     trees coincide, e.g. singleton unions; always so up to roundoff).
     """
     total = np.zeros((n, n))
-    for block in _subset_blocks(partition, subset, n, seed):
+    for block in _subset_blocks(partition, subset, n, seed).values():
         total = total + block @ block.T
     return HermitianMatrix(total)
 
 
-def range_projection(a: HermitianMatrix, tol: float = RANGE_TOL) -> Projection:
-    """Projection onto the span of eigenvectors with eigenvalue > tol * max."""
+def _range_mask(values: np.ndarray) -> np.ndarray:
+    """Eigenvalues that count as range directions: above RANGE_TOL * max."""
+    return values > RANGE_TOL * values.max(initial=0.0)
+
+
+def range_projection(a: HermitianMatrix) -> Projection:
+    """Projection onto the eigenvectors that pass ``_range_mask`` (eigenvalue
+    above RANGE_TOL * max), the rule by which the process report counts ranks."""
     lam = a.eigenvalues
     lam_max = float(lam[-1]) if lam.size else 0.0
-    if lam_max <= 0.0:
-        if lam.size and float(lam[0]) < -tol:
-            raise CdfError("range projection needs a positive semidefinite input")
-        return Projection.zero(a.n)
-    if float(lam[0]) < -tol * max(1.0, lam_max):
+    if lam.size and float(lam[0]) < -RANGE_TOL * max(1.0, lam_max):
         raise CdfError("range projection needs a positive semidefinite input")
-    mask = lam > tol * lam_max
-    return Projection(a.eigenvectors[:, mask], dim=a.n)
+    return Projection(a.eigenvectors[:, _range_mask(lam)], dim=a.n)
 
 
 # ----------------------------------------------------------------------
@@ -366,17 +372,6 @@ def _gram_eigenvalues(blocks: list) -> np.ndarray:
     return np.linalg.eigvalsh(gram)
 
 
-def _range_mask(values: np.ndarray) -> np.ndarray:
-    """Eigenvalues that count as range directions: above RANGE_TOL * max."""
-    return values > RANGE_TOL * values.max(initial=0.0)
-
-
-def _block_range(block: np.ndarray) -> Projection:
-    """Range of B B^T: left singular vectors of B with s^2 above RANGE_TOL * s_max^2."""
-    u, s, _ = np.linalg.svd(block, full_matrices=False)
-    return Projection(u[:, _range_mask(s * s)], dim=block.shape[0])
-
-
 def extremal_process_report(
     partition: Partition,
     subsets: Sequence[Iterable[str]],
@@ -386,11 +381,14 @@ def extremal_process_report(
 ) -> ProcessReport:
     """Trace law, join additivity, and spectrum fit for each subset.
 
-    Per subset: the mean normalized rank of the range projection across
-    trials against min(mass, 1); for multi-atom subsets, whether on the
-    first trial the range of the subset matrix equals the join of its
-    atoms' ranges (integer rank equality); and the mean KS distance of
-    the nonzero spectrum to the conditional free Poisson law.
+    Trials run outermost, and each draws every named atom's block once.
+    Per subset: the mean normalized rank across trials against
+    min(mass, 1); for multi-atom subsets, whether on the first trial the
+    subset's rank equals the rank of the join of its atoms' ranges; and
+    the mean KS distance of the nonzero spectrum to the conditional free
+    Poisson law.  ``_range_mask`` counts every rank: the subset's from its
+    Wishart eigenvalues, the join's from the eigenvalues of the sum of the
+    atoms' range projections (each the block's left singular vectors).
     """
     if trials < 1:
         raise CdfError("at least one trial required")
@@ -401,35 +399,34 @@ def extremal_process_report(
         for atom_id, mass in partition.atoms
         if mass > 0 and int(round(mass * n)) == 0
     )
-
-    def run_subset(subset: Tuple[str, ...]) -> ProcessRecord:
-        mu = partition.mass(subset)
-        expected = min(mu, 1.0)
-        law = mp_cdf(mu) if mu > 0 else None
-        cond = law.conditional_nonzero() if law is not None else None
-        taus = []
-        ks_vals = []
-        join_ok = True
-        for t in range(trials):
-            blocks = _subset_blocks(partition, subset, n, derive_seed(seed, t))
-            lam = _gram_eigenvalues(blocks)
-            nonzero = lam[_range_mask(lam)]
-            taus.append(nonzero.size / n)
-            if cond is not None and nonzero.size:
-                ks_vals.append(ks_distance(nonzero, cond))
+    named = {atom for subset in canonical for atom in subset}
+    in_joins = {atom for subset in canonical if len(subset) > 1 for atom in subset}
+    spectra = [[] for _ in canonical]  # per subset, per trial: the nonzero eigenvalues
+    join_ok = [True] * len(canonical)
+    for t in range(trials):
+        blocks = _subset_blocks(partition, named, n, derive_seed(seed, t))
+        if t == 0:
+            bases = {}
+            for atom in in_joins & blocks.keys():
+                u, sv, _ = np.linalg.svd(blocks[atom], full_matrices=False)
+                bases[atom] = u[:, _range_mask(sv * sv)]
+        for i, subset in enumerate(canonical):
+            lam = _gram_eigenvalues([blocks[a] for a in subset if a in blocks])
+            spectra[i].append(lam[_range_mask(lam)])
             if t == 0 and len(subset) > 1:
-                joined = Projection.zero(n)
-                for block in blocks:
-                    joined = proj_join(joined, _block_range(block))
-                join_ok = nonzero.size == joined.rank
-        return ProcessRecord(
+                join = _gram_eigenvalues([bases[a] for a in subset if a in bases])
+                join_ok[i] = spectra[i][0].size == join[_range_mask(join)].size
+    records = []
+    for subset, spectrum, ok in zip(canonical, spectra, join_ok):
+        mu = partition.mass(subset)
+        cond = mp_cdf(mu).conditional_nonzero() if mu > 0 else None
+        ks_vals = [ks_distance(nz, cond) for nz in spectrum if cond is not None and nz.size]
+        records.append(ProcessRecord(
             subset=subset,
             n_dim=n,
-            tau_y=float(np.mean(taus)),
-            expected=expected,
-            join_additivity_ok=join_ok,
+            tau_y=float(np.mean([nz.size / n for nz in spectrum])),
+            expected=min(mu, 1.0),
+            join_additivity_ok=ok,
             ks_distance=float(np.mean(ks_vals)) if ks_vals else 1.0,
-        )
-
-    records = tuple(run_subset(subset) for subset in canonical)
-    return ProcessReport(records=records, trials=trials, seed=seed, warnings=starved)
+        ))
+    return ProcessReport(records=tuple(records), trials=trials, seed=seed, warnings=starved)

@@ -83,6 +83,13 @@ def test_law_extended_kinds(capsys):
     )
     values = [t["F"] for t in doc["payload"]["table"]]
     assert values == pytest.approx([0.0, 0.0, 0.0, 0.5, 1.0])
+    # location and scale apply as for every other kind: F((x - 3) / 2)
+    doc = run_json(
+        capsys,
+        ["law", "--law", '{"kind":"MarchenkoPastur","shape":0.5,"location":3,"scale":2}',
+         "--grid", "1,3,3", "--format", "json"],
+    )
+    assert [t["F"] for t in doc["payload"]["table"]] == [0.0, 0.0, 0.5]
 
 
 def test_conv_command(capsys):
@@ -304,13 +311,19 @@ def test_invalid_law_error(capsys):
         (["law", "--law", '{"kind":"MarchenkoPastur","shape":Infinity}'], (EXIT_LAW,)),
         (["attract", "--law", '{"kind":"FreeTypeII","shape":1}', "--type", "I", "--n", "100"],
          (EXIT_LAW,)),
+        # the starved "dust" atom raises a UserWarning, which must not reach stderr
+        (["poisson", "--partition", "part.json", "--subsets", "big", "--N", "64",
+          "--trials", "1", "--seed", "1", "--out", "missing/r.json"], (EXIT_INPUT,)),
     ],
-    ids=["empty_matrix", "non_numeric_shape", "infinite_mp_shape", "infinite_mean"],
+    ids=["empty_matrix", "non_numeric_shape", "infinite_mp_shape", "infinite_mean",
+         "starved_atom_warning"],
 )
-def test_errors_are_one_json_object_without_traceback(argv, codes):
+def test_errors_are_one_json_object_without_traceback(tmp_path, argv, codes):
+    atoms = [{"id": "big", "mass": 0.5}, {"id": "dust", "mass": 0.001}]
+    (tmp_path / "part.json").write_text(json.dumps({"atoms": atoms}))
     src = os.path.dirname(os.path.dirname(freemax.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-m", "freemax", *argv],
+    done = subprocess.run([sys.executable, "-m", "freemax", *argv], cwd=tmp_path,
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode in codes
     assert "Traceback" not in done.stderr
@@ -368,8 +381,10 @@ def test_count_and_list_flags_are_usage_errors(capsys, argv):
         ("table.csv", "x,F\n0,0.5\nnan,1\n"),
         ("part.json", '{"atoms": [{"id": "1", "mass": "heavy"}]}'),
         ("part.json", '{"atoms": [{"id": "1", "mass": NaN}]}'),
+        ("part.json", '{"atoms": [{"id": "1", "mass": 12}, {"id": "2", "mass": 8}]}'),
     ],
-    ids=["sample_word", "table_word", "table_short_row", "table_nan", "mass_word", "mass_nan"],
+    ids=["sample_word", "table_word", "table_short_row", "table_nan", "mass_word", "mass_nan",
+         "total_mass_above_bound"],
 )
 def test_malformed_input_files_are_input_errors(tmp_path, capsys, name, text):
     path = tmp_path / name
@@ -401,7 +416,7 @@ _JSON_VALUE = st.one_of(
 def _law_json(draw):
     if draw(st.integers(0, 9)) == 0:
         return draw(st.sampled_from(["[]", "3", "{", "null", '{"shape": 1}']))
-    kinds = [k.value for k in LawKind] + ["MarchenkoPastur", "TriangularProcess", "Nope", 3]
+    kinds = [k.value for k in LawKind] + ["Nope", 3]
     law = {"kind": draw(st.sampled_from(kinds))}
     for field in ("shape", "location", "scale"):
         if draw(st.booleans()):

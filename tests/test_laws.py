@@ -34,6 +34,7 @@ from freemax.laws import (
     stability_constants,
     verify_max_stable,
 )
+from freemax.poisson import mp_cdf, triangular_law_cdf
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +145,21 @@ def test_location_scale_parametrization():
     base = ExponentialCdf()
     xs = np.linspace(-1, 20, 601)
     np.testing.assert_allclose(law.value(xs), base.value((xs - 2.0) / 3.0), atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "spec,base",
+    [
+        (LawSpec(LawKind.MARCHENKO_PASTUR, shape=0.5, location=3.0, scale=2.0), mp_cdf(0.5)),
+        (LawSpec(LawKind.TRIANGULAR_PROCESS, location=0.5, scale=4.0), triangular_law_cdf(1.0)),
+    ],
+    ids=["marchenko_pastur", "triangular_default_shape"],
+)
+def test_location_scale_apply_to_poisson_kinds(spec, base):
+    law = make_law(spec)
+    xs = np.linspace(-1, 20, 601)
+    want = base.value((xs - spec.location) / spec.scale)
+    np.testing.assert_allclose(law.value(xs), want, atol=1e-14)
 
 
 def test_law_spec_json_round_trip():

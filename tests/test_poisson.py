@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from freemax import poisson
 from freemax.cdf import CdfError, free_max_conv, ks_distance, sup_distance
 from freemax.poisson import (
+    MAX_TOTAL_MASS,
     Partition,
     extremal_process_report,
     mp_cdf,
@@ -53,6 +55,15 @@ def test_partition_rejects_non_finite_masses(bad):
         Partition.from_pairs([("a", 0.3), ("b", bad)])
     with pytest.raises(CdfError):
         Partition.from_json(json.dumps({"atoms": [{"id": "a", "mass": bad}]}))
+
+
+def test_partition_bounds_total_mass():
+    # checked at construction, so nothing is drawn or allocated
+    assert Partition.from_pairs([("a", 10.0), ("b", MAX_TOTAL_MASS - 10.0)]).total_mass == 16.0
+    with pytest.raises(CdfError, match="total mass"):
+        Partition.from_json(json.dumps({"atoms": [{"id": "a", "mass": 1e3}]}))
+    with pytest.raises(CdfError, match="total mass"):
+        Partition.from_json(json.dumps({"atoms": [{"id": "a", "mass": 9.0}, {"id": "b", "mass": 7.5}]}))
 
 
 def test_small_n_warns_on_starved_atom():
@@ -282,9 +293,10 @@ def test_process_report_saturation():
 
 def test_process_report_matches_matrix_path():
     # rank-deficient (mass < 1), saturated (mass > 1) and zero-column subsets
+    # and an atom of mass > 1 inside a join
     n, trials, seed = 200, 2, 31
-    part = Partition.from_pairs([("a", 0.3), ("b", 0.45), ("c", 0.6), ("z", 0.0)])
-    subsets = [("a", "b"), ("a", "b", "c"), ("z",), ("a", "z"), ("b", "c")]
+    part = Partition.from_pairs([("a", 0.3), ("b", 0.45), ("c", 0.6), ("z", 0.0), ("d", 1.2)])
+    subsets = [("a", "b"), ("a", "b", "c"), ("z",), ("a", "z"), ("b", "c"), ("a", "d")]
     report = extremal_process_report(part, subsets, n, trials, seed)
     for record, subset in zip(report.records, subsets):
         ranks = [
@@ -298,7 +310,22 @@ def test_process_report_matches_matrix_path():
             joined = proj_join(
                 joined, range_projection(sample_free_poisson_matrix(part, [atom], n, first)))
         assert record.join_additivity_ok is (len(subset) < 2 or joined.rank == ranks[0])
-    assert [r.tau_y for r in report.records] == [0.75, 1.0, 0.0, 0.3, 1.0]
+    assert [r.tau_y for r in report.records] == [0.75, 1.0, 0.0, 0.3, 1.0, 1.0]
+
+
+def test_process_report_draws_each_atom_block_once_per_trial(monkeypatch):
+    drawn = []
+    atom_block = poisson._atom_block
+
+    def counting(partition, index, count, n, seed):
+        drawn.append((index, seed))
+        return atom_block(partition, index, count, n, seed)
+
+    monkeypatch.setattr(poisson, "_atom_block", counting)
+    part = Partition.from_pairs([("a", 0.31), ("b", 0.43), ("c", 0.53)])
+    extremal_process_report(part, [["a"], ["b", "c"], ["a", "b", "c"]], 64, 2, 5)
+    assert len(drawn) == 6  # three atoms, two trials
+    assert len(set(drawn)) == 6
 
 
 def test_process_report_deterministic():
