@@ -91,6 +91,47 @@ def _monotone_inf(pred: Callable[[float], bool], lo: float, hi: float) -> float:
     return hi
 
 
+def _monotone_inf_each(pred, lo: float, hi: float, n: int) -> np.ndarray:
+    """``_monotone_inf`` for ``n`` predicates from one shared bracket.
+
+    ``pred(i, t)`` decides predicates ``i`` (index array) at points ``t``.
+    Each element takes the scalar steps, so its result is bit-identical.
+    """
+    lo, hi = float(lo), float(hi)
+    if not lo < hi:
+        lo, hi = lo - 1.0, lo + 1.0
+    los, his = np.full(n, lo), np.full(n, hi)
+    step = np.full(n, max(1.0, 0.25 * (hi - lo)))
+    grow = np.arange(n)
+    while grow.size:
+        grow = grow[~pred(grow, his[grow])]
+        capped = his[grow] >= _HUGE
+        his[grow[capped]] = math.inf
+        grow = grow[~capped]
+        his[grow] = np.minimum(his[grow] + step[grow], _HUGE)
+        step[grow] *= 4.0
+    grow = np.flatnonzero(np.isfinite(his))
+    step[grow] = np.maximum(1.0, 0.25 * np.abs(his[grow] - lo))
+    while grow.size:
+        grow = grow[pred(grow, los[grow])]
+        capped = los[grow] <= -_HUGE
+        his[grow[capped]] = -math.inf
+        grow = grow[~capped]
+        los[grow] = np.maximum(los[grow] - step[grow], -_HUGE)
+        step[grow] *= 4.0
+    live = np.flatnonzero(np.isfinite(his))
+    for _ in range(600):
+        mid = 0.5 * (los[live] + his[live])
+        inside = (los[live] < mid) & (mid < his[live])
+        live, mid = live[inside], mid[inside]
+        if not live.size:
+            break
+        holds = pred(live, mid)
+        his[live[holds]] = mid[holds]
+        los[live[~holds]] = mid[~holds]
+    return his
+
+
 def _as_float_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
@@ -136,18 +177,18 @@ class Cdf:
         return self._tail(self.omega - h)
 
     def _quantile(self, p: np.ndarray) -> np.ndarray:
-        out = np.empty_like(p)
+        """inf{t : value(t) >= p} by bisection; several levels in (0, 1)
+        are bisected together, bit-identical to one at a time."""
         lo = self.alpha if math.isfinite(self.alpha) else -1.0
         hi = self.omega if math.isfinite(self.omega) else 1.0
-        for i, pi in enumerate(p.flat):
-            if pi <= 0.0:
-                out.flat[i] = -math.inf
-            elif pi >= 1.0:
-                out.flat[i] = self.omega
-            else:
-                out.flat[i] = _monotone_inf(
-                    lambda t, pi=pi: self.value(t) >= pi, lo, hi
-                )
+        out = np.where(p <= 0.0, -math.inf, self.omega)
+        inner = ~((p <= 0.0) | (p >= 1.0))
+        levels = p[inner]
+        if levels.size == 1:
+            level = levels[0]
+            out[inner] = _monotone_inf(lambda t: self.value(t) >= level, lo, hi)
+        elif levels.size:
+            out[inner] = _monotone_inf_each(lambda i, t: self.value(t) >= levels[i], lo, hi, levels.size)
         return out
 
     # ------------------------------------------------------------------
@@ -177,6 +218,11 @@ class Cdf:
     # public evaluation
     # ------------------------------------------------------------------
     def _eval(self, fn, x):
+        """``fn`` clipped to [0, 1].  A scalar skips the array wrapping and
+        is clipped by comparisons, which keep NaN and -0.0 as np.clip does."""
+        if isinstance(x, (float, int)):
+            v = float(fn(np.array([x], dtype=float))[0])
+            return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
         arr = _as_float_array(x)
         scalar = arr.ndim == 0
         out = np.clip(fn(np.atleast_1d(arr)), 0.0, 1.0)
@@ -708,12 +754,13 @@ def ks_distance(samples: np.ndarray, f: Cdf) -> float:
 # file interfaces
 # ----------------------------------------------------------------------
 def write_cdf_table(f: Cdf, grid: np.ndarray, path: str) -> str:
-    """Write rows ``x,F`` at the grid points; importable by tabulated_cdf."""
+    """Write rows ``x,F`` at the grid points; importable by tabulated_cdf.
+
+    One write of the bytes ``csv.writer`` gives: float reprs, CRLF ends."""
+    grid = _as_float_array(grid)
+    rows = zip(grid.tolist(), np.asarray(f.value(grid)).tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "F"])
-        for x, v in zip(grid, np.asarray(f.value(grid))):
-            writer.writerow([repr(float(x)), repr(float(v))])
+        fh.write("x,F\r\n" + "".join(f"{x!r},{v!r}\r\n" for x, v in rows))
     return path
 
 

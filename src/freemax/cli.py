@@ -8,6 +8,7 @@ error object to stderr with a distinct exit code per failure class.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -464,8 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first dispatch, not at import; parse_args keeps no state on it
+_parser = functools.cache(build_parser)
+
+
 def dispatch(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         # stderr carries only the JSON error; reports carry their own notices
         with warnings.catch_warnings():

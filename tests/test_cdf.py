@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freemax.cdf as cdf_module
 import freemax.cli  # noqa: F401  (loads every module, so every Cdf subclass exists)
 from freemax.cdf import (
     Cdf,
@@ -34,8 +37,13 @@ from freemax.cdf import (
 from freemax.laws import (
     ExponentialCdf,
     GpdCdf,
+    GumbelCdf,
     ParetoCdf,
+    StdNormalCdf,
     UniformCdf,
+    f_c_map,
+    law_catalog,
+    standard_cauchy,
 )
 
 UNIT_GRID = np.linspace(-0.5, 1.5, 801)
@@ -458,6 +466,85 @@ def test_quantile_galois_inequality():
         assert quantile(f, f.value(x)) <= x + 1e-12
 
 
+def _defective_law():
+    # mass 0.1 at -inf and 0.1 at +inf: levels below 0.1 bisect to -inf,
+    # levels above 0.9 to +inf
+    return FunctionCdf(lambda x: 0.1 + 0.4 * (1.0 + np.tanh(x)))
+
+
+def _wiggly_law():
+    # not monotone: which crossing the bisection finds depends on every
+    # step of the bracket expansion and on every midpoint
+    return FunctionCdf(lambda x: 0.5 + 0.45 * np.sin(40.0 * x + 2.0))
+
+
+def _per_level_quantile(f, levels):
+    # the one-level-at-a-time reference: one scalar bisection per level
+    lo = f.alpha if math.isfinite(f.alpha) else -1.0
+    hi = f.omega if math.isfinite(f.omega) else 1.0
+    out = []
+    for p in levels:
+        if p <= 0.0:
+            out.append(-math.inf)
+        elif p >= 1.0:
+            out.append(f.omega)
+        else:
+            out.append(cdf_module._monotone_inf(lambda t, p=p: f.value(t) >= p, lo, hi))
+    return np.array(out, dtype=float)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: f_c_map(GumbelCdf(), 1.0),
+        lambda: free_max_power(ParetoCdf(2.0), 7.5),
+        lambda: exceedance_cdf(StdNormalCdf(), 1.0),
+        # its predicate is not monotone at the ulp scale
+        lambda: free_max_conv(StdNormalCdf(), standard_cauchy()),
+        _defective_law,
+        _wiggly_law,
+    ],
+    ids=["f_c_gumbel", "pareto_power", "normal_exceedance", "normal_cauchy_max", "defective",
+         "wiggly"],
+)
+def test_array_quantile_is_the_per_level_bisection_bit_for_bit(make):
+    f = make()
+    levels = np.concatenate([
+        [0.0, 1.0, 1e-300, 1.0 - 2.0**-53, 0.05, 0.95, 0.3, 0.3, 0.3, 1e-300],
+        np.linspace(0.001, 0.999, 61),
+    ])
+    got = f._quantile(levels)
+    expected = _per_level_quantile(f, levels)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    # through the public entry, as a 2-d array and as an empty one
+    np.testing.assert_array_equal(f.quantile(levels[1:].reshape(-1, 2)),
+                                  expected[1:].reshape(-1, 2))
+    assert f.quantile(np.array([])).shape == (0,)
+
+
+def test_one_level_bisects_on_scalars(monkeypatch):
+    f = free_max_power(ParetoCdf(2.0), 7.5)
+    # endpoints solved before counting: they bisect too
+    assert math.isfinite(f.alpha) and f.omega == math.inf
+    calls = {"scalar": 0, "array": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cdf_module, "_monotone_inf", counted("scalar", cdf_module._monotone_inf))
+    monkeypatch.setattr(cdf_module, "_monotone_inf_each",
+                        counted("array", cdf_module._monotone_inf_each))
+    f.quantile(0.3)
+    f.quantile(np.array([0.0, 0.3, 1.0]))
+    assert calls == {"scalar": 2, "array": 0}
+    f.quantile(np.array([0.3, 0.6]))
+    assert calls == {"scalar": 2, "array": 1}
+
+
 # ----------------------------------------------------------------------
 # algebraic invariants
 # ----------------------------------------------------------------------
@@ -545,6 +632,15 @@ def test_cdf_table_round_trip(tmp_path):
     mesh = np.linspace(1.0, 30.0, 1500)
     bound = np.max(np.abs(np.diff(f.value(grid)))) + 1e-12
     assert np.max(np.abs(back.value(mesh) - f.value(mesh))) <= bound
+    # the bytes are those csv.writer gives, CRLF line ends included
+    for grid in (grid, np.array([-0.0, 1e-300, 1.5, 2.0**0.5, 1e300])):
+        write_cdf_table(f, grid, path)
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        writer.writerow(["x", "F"])
+        for x, v in zip(grid, np.asarray(f.value(grid))):
+            writer.writerow([repr(float(x)), repr(float(v))])
+        assert (tmp_path / "pareto.csv").read_bytes() == reference.getvalue().encode("utf-8")
 
 
 def test_read_samples_plain_and_csv(tmp_path):
@@ -648,3 +744,40 @@ def test_linear_stepped_quantile_equals_the_per_point_formula(xs, vs):
     expected = [_linear_quantile_per_point(f.xs, f.vs, p) for p in levels]
     np.testing.assert_array_equal(f.quantile(levels), expected)
     assert f.quantile(0.0) == -math.inf
+
+
+# ----------------------------------------------------------------------
+# scalar and array evaluation
+# ----------------------------------------------------------------------
+def _bits(x) -> int:
+    return int(np.array([x], dtype=float).view(np.uint64)[0])
+
+
+SCALAR_LAWS = dict(
+    law_catalog(),
+    rescaled_iterate=rescale(free_max_iterate(ParetoCdf(2.0), 1000), 31.6, 0.5),
+    f_c_gumbel=f_c_map(GumbelCdf(), 1.0),
+)
+SCALAR_INPUTS = [0.7, 2, -1, np.float64(-1.3), np.float64(1e-300), math.inf, -math.inf,
+                 math.nan, -0.0, 0.0]
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_LAWS))
+def test_scalar_evaluation_is_the_one_element_array_bit_for_bit(name):
+    f = SCALAR_LAWS[name]
+    methods = {
+        "value": f.value,
+        "tail": f.tail,
+        "left": f.left,
+        "value_affine": lambda x: f.value_affine(1.5, -0.25, x),
+        "tail_affine": lambda x: f.tail_affine(1.5, -0.25, x),
+    }
+    if math.isfinite(f.omega):
+        methods["tail_gap"] = f.tail_gap
+    with np.errstate(all="ignore"):
+        for method, fn in methods.items():
+            for x in SCALAR_INPUTS:
+                got = fn(x)
+                expected = float(fn(np.array([x], dtype=float))[0])
+                assert type(got) is float, (method, x)
+                assert _bits(got) == _bits(expected), (method, x, got, expected)

@@ -280,6 +280,23 @@ def test_module_entry_points_run_the_cli(module):
     assert json.loads(bad.stderr)["error"]["code"] == EXIT_USAGE
 
 
+def test_one_parser_serves_every_dispatch_in_a_process(tmp_path, capsys):
+    # a failed parse and a failed command leave nothing behind on the shared parser
+    assert dispatch(["law", "--law", '{"kind":"Uniform"}', "--grid-size", "1"]) == EXIT_USAGE
+    assert dispatch(["law", "--law", '{"kind":"Nope"}']) == EXIT_LAW
+    capsys.readouterr()
+    argv = ["law", "--law", '{"kind":"Uniform"}', "--grid", "0,1,3", "--out"]
+    assert dispatch(argv + [str(tmp_path / "here.csv")]) == 0
+    src = os.path.dirname(os.path.dirname(freemax.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "freemax", *argv, str(tmp_path / "fresh.csv")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    here = (tmp_path / "here.csv").read_bytes()
+    assert here == (tmp_path / "fresh.csv").read_bytes()
+    assert here == b"x,F\r\n0.0,0.0\r\n0.5,0.5\r\n1.0,1.0\r\n"
+
+
 def test_unknown_subcommand_error(capsys):
     code, err = run_error(capsys, ["frobnicate"])
     assert code == EXIT_USAGE
