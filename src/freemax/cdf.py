@@ -39,6 +39,7 @@ __all__ = [
     "empirical_cdf",
     "point_mass",
     "tabulated_cdf",
+    "cdf_table_text",
     "write_cdf_table",
     "read_samples",
     "comparison_grid",
@@ -269,10 +270,6 @@ class Cdf:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF sampling; exact for laws with closed-form quantiles."""
         return np.asarray(self.quantile(rng.random(n)))
-
-    def is_degenerate(self) -> bool:
-        """True when the law is a single atom (quartiles coincide)."""
-        return self.quantile(0.25) >= self.quantile(0.75)
 
 
 # ----------------------------------------------------------------------
@@ -753,14 +750,18 @@ def ks_distance(samples: np.ndarray, f: Cdf) -> float:
 # ----------------------------------------------------------------------
 # file interfaces
 # ----------------------------------------------------------------------
-def write_cdf_table(f: Cdf, grid: np.ndarray, path: str) -> str:
-    """Write rows ``x,F`` at the grid points; importable by tabulated_cdf.
-
-    One write of the bytes ``csv.writer`` gives: float reprs, CRLF ends."""
+def cdf_table_text(f: Cdf, grid: np.ndarray) -> str:
+    """Rows ``x,F`` at the grid points in the format ``csv.writer`` gives:
+    a header, float reprs, CRLF ends."""
     grid = _as_float_array(grid)
     rows = zip(grid.tolist(), np.asarray(f.value(grid)).tolist())
+    return "x,F\r\n" + "".join(f"{x!r},{v!r}\r\n" for x, v in rows)
+
+
+def write_cdf_table(f: Cdf, grid: np.ndarray, path: str) -> str:
+    """Write ``cdf_table_text`` in one write; importable by tabulated_cdf."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("x,F\r\n" + "".join(f"{x!r},{v!r}\r\n" for x, v in rows))
+        fh.write(cdf_table_text(f, grid))
     return path
 
 

@@ -23,20 +23,19 @@ from .attraction import (
     balkema_de_haan_check,
     convergence_report,
     fit_gpd,
-    mean_excess,
     norming_constants,
     rv_check,
 )
 from .cdf import (
     Cdf,
     CdfError,
+    cdf_table_text,
     classical_max_conv,
     comparison_grid,
     free_max_conv,
     free_min_conv,
     read_samples,
     tabulated_cdf,
-    threshold_un,
     write_cdf_table,
 )
 from .laws import LawKind, LawSpec, make_law, verify_max_stable
@@ -171,9 +170,7 @@ def _write_output(document: dict, out: Optional[str]) -> None:
 def _write_table(f: Cdf, grid: np.ndarray, out: Optional[str], fmt: str, args_dict: dict) -> None:
     if fmt == "csv":
         if out is None:
-            sys.stdout.write("x,F\n")
-            for x, v in zip(grid, np.asarray(f.value(grid))):
-                sys.stdout.write(f"{float(x)!r},{float(v)!r}\n")
+            sys.stdout.write(cdf_table_text(f, grid))
         else:
             write_cdf_table(f, grid, out)
         return
@@ -232,8 +229,8 @@ def _cmd_attract(args) -> None:
     constants = [norming_constants(f, n, kind) for n in _parse_int_list(args.n)]
     payload: dict = {"constants": [c.to_dict() for c in constants]}
     if kind is LawKind.FREE_TYPE_I:
-        u = threshold_un(f, constants[-1].n)
-        payload["mean_excess_at_un"] = mean_excess(f, u)
+        # the Type I scale a_n is the mean excess at u_n
+        payload["mean_excess_at_un"] = constants[-1].a_n
     if args.rv_alpha is not None:
         mode = "at_infinity" if kind is LawKind.FREE_TYPE_II else "at_endpoint"
         payload["rv_deviation"] = rv_check(

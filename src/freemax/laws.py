@@ -518,10 +518,10 @@ def verify_max_stable(
     k = int(k)
     if k < 2:
         raise CdfError("stability check needs k >= 2")
-    if g.is_degenerate():
+    x1, x3 = g.quantile(0.25), g.quantile(0.75)
+    if x1 >= x3:
         raise CdfError("degenerate law: max-stability is vacuous for a point mass")
     iterate = free_max_iterate(g, k)
-    x1, x3 = g.quantile(0.25), g.quantile(0.75)
     y1, y3 = iterate.quantile(0.25), iterate.quantile(0.75)
     a = (y3 - y1) / (x3 - x1)
     b = y1 - a * x1

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 import freemax
 from freemax.cli import EXIT_INPUT, EXIT_LAW, EXIT_USAGE, dispatch
-from freemax.laws import LawKind
+from freemax.attraction import mean_excess
+from freemax.cdf import threshold_un
+from freemax.laws import LawKind, LawSpec, make_law
 
 
 def run_json(capsys, argv):
@@ -157,6 +159,15 @@ def test_attract_command(capsys):
     assert payload["rv_deviation"] <= 1e-9
 
 
+def test_attract_type_i_reports_the_mean_excess_at_the_last_threshold(capsys):
+    doc = run_json(capsys, ["attract", "--law", '{"kind":"StdNormal"}', "--type", "I",
+                            "--n", "10,1000"])
+    law = make_law(LawSpec.from_json('{"kind":"StdNormal"}'))
+    payload = doc["payload"]
+    assert payload["mean_excess_at_un"] == mean_excess(law, threshold_un(law, 1000))
+    assert payload["mean_excess_at_un"] == payload["constants"][-1]["a_n"]
+
+
 # ----------------------------------------------------------------------
 # pot
 # ----------------------------------------------------------------------
@@ -295,6 +306,19 @@ def test_one_parser_serves_every_dispatch_in_a_process(tmp_path, capsys):
     here = (tmp_path / "here.csv").read_bytes()
     assert here == (tmp_path / "fresh.csv").read_bytes()
     assert here == b"x,F\r\n0.0,0.0\r\n0.5,0.5\r\n1.0,1.0\r\n"
+
+
+def test_stdout_table_is_the_out_file_bytes(tmp_path):
+    src = os.path.dirname(os.path.dirname(freemax.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "freemax", "law", "--law", '{"kind":"StdNormal"}',
+            "--grid", "0,1,3"]
+    shown = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    written = subprocess.run(argv + ["--out", str(tmp_path / "t.csv")],
+                             capture_output=True, env=env, timeout=60)
+    assert shown.returncode == written.returncode == 0, (shown.stderr, written.stderr)
+    assert shown.stdout == (tmp_path / "t.csv").read_bytes()
+    assert shown.stdout.startswith(b"x,F\r\n0.0,0.5\r\n")
 
 
 def test_unknown_subcommand_error(capsys):

@@ -457,6 +457,72 @@ def test_spectral_order_strictly_stronger_than_semidefinite():
     assert not spectral_leq(a, b)
 
 
+def _reference_spectral_leq(a, b):
+    """The per-level decision: at each point of the merged spectra the
+    closed and the open upper projection of a lie in b's, every principal
+    sine at most RANK_RTOL."""
+    for t in np.unique(np.concatenate([a.eigenvalues, b.eigenvalues])):
+        for kind in ("closed_up", "open_up"):
+            pa = spectral_projection(a, float(t), kind)
+            pb = spectral_projection(b, float(t), kind)
+            if not range_contains(pb, pa):
+                return False
+    return True
+
+
+def _complex_pair(n, seed, tied=False):
+    rng = rng_from_seed(seed, 101)
+
+    def spectrum():
+        return np.sort(rng.integers(0, 4, size=n) / 4.0 if tied else rng.random(n))
+
+    a = haar_conjugate(HermitianMatrix(np.diag(spectrum())), seed, 0, complex_field=True)
+    b = haar_conjugate(HermitianMatrix(np.diag(spectrum())), seed, 1, complex_field=True)
+    return a, b
+
+
+LEQ_CASES = {
+    "haar": lambda: _random_pair(12, 31),
+    "haar_complex": lambda: _complex_pair(10, 32),
+    "tied_lattices": lambda: _lattice_pair(30, 33),
+    "tied_complex": lambda: _complex_pair(10, 34, tied=True),
+    "standard_basis_diagonals": _diagonal_pair,
+    "shift_1e-3": lambda: _self_pair(1e-3),
+    "shift_1e-10": lambda: _self_pair(1e-10),
+    "incomparable_diagonals": lambda: (HermitianMatrix(np.diag([0.0, 1.0])),
+                                       HermitianMatrix(np.diag([1.0, 0.0]))),
+    "semidefinite_only": lambda: (HermitianMatrix(np.diag([1.0, 0.0])),
+                                  HermitianMatrix(np.array([[1.5, 0.5], [0.5, 0.5]]))),
+}
+
+
+@pytest.mark.parametrize("case", list(LEQ_CASES))
+def test_leq_agrees_with_the_per_level_decision(case):
+    a, b = LEQ_CASES[case]()
+    top, bottom = spectral_max(a, b), spectral_min(a, b)
+    pairs = [(a, b), (b, a), (a, top), (b, top), (top, a), (top, b),
+             (bottom, a), (bottom, b), (a, bottom), (top, top), (bottom, top)]
+    decided = [spectral_leq(x, y) for x, y in pairs]
+    assert decided == [_reference_spectral_leq(x, y) for x, y in pairs]
+    # a and b lie between their meet and their join, and a v b <= a
+    # exactly when b <= a
+    assert decided[2:4] == [True, True] and decided[6:8] == [True, True]
+    assert decided[4] == decided[1] and decided[5] == decided[0]
+
+
+@pytest.mark.parametrize("sine,leq", [(5e-10, True), (5e-9, True), (2e-8, False)])
+def test_leq_reads_containment_at_the_sweep_tolerance(sine, leq):
+    # a's top eigenvector leans off b's by the given principal sine; at
+    # 5e-9, inside (RANK_RTOL, ACCEPT_TOL], range_contains says outside
+    # while the join sweep adds no direction
+    cos = math.sqrt(1.0 - sine * sine)
+    a = HermitianMatrix.from_spectrum([0.0, 1.0], np.array([[cos, -sine], [sine, cos]]))
+    b = HermitianMatrix(np.diag([0.0, 1.0]))
+    assert spectral_leq(a, b) is leq
+    assert spectral_leq(b, a) is leq
+    assert _reference_spectral_leq(a, b) is (sine <= RANK_RTOL)
+
+
 # ----------------------------------------------------------------------
 # approximation lemmas
 # ----------------------------------------------------------------------
