@@ -6,7 +6,8 @@ scale, Type III uses the gap to the finite endpoint, and Type I uses the
 mean excess function as the auxiliary scale.  This module builds those
 constants, measures convergence of normalized iterates on a grid, runs
 regular-variation diagnostics, and fits generalized Pareto laws to
-exceedance samples.
+exceedance samples.  Only ``mean_excess`` (``quad``) and ``fit_gpd`` (the
+scalar optimiser) import scipy, each when it runs.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .cdf import (
     Cdf,
@@ -113,6 +113,8 @@ def mean_excess(f: Cdf, t: float) -> float:
     however small the tail at t is.  Raises ``CdfError`` when quadrature
     reports failure, as it does for a divergent integral (infinite mean).
     """
+    from scipy import integrate
+
     t = float(t)
     if t >= f.omega:
         raise CdfError("mean excess needs t below the upper support endpoint")
@@ -248,6 +250,8 @@ def fit_gpd(exceedances: Sequence[float]) -> GpdFit:
     (the exponential fit), log-likelihoods within 1e-9 (1 + |l|) of the
     better one l are ties, broken toward the smaller |gamma|.
     """
+    from scipy import optimize
+
     x = np.asarray(exceedances, dtype=float).ravel()
     if x.size < 20:
         raise CdfError("fit_gpd needs at least 20 exceedances")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -782,7 +783,12 @@ def tabulated_cdf(path: str) -> SteppedCdf:
 
 
 def read_samples(path: str) -> np.ndarray:
-    """Read one float per line, or a CSV with a ``value`` column."""
+    """Read one float per line, or a CSV with a ``value`` column.
+
+    Plain files are parsed by ``np.loadtxt``: blank lines are skipped, and
+    a ``#`` line, a second value on a line or a number that only Python's
+    ``float`` reads (``1_000``) is an error.  Every sample must be finite.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         first = fh.readline()
         fh.seek(0)
@@ -790,9 +796,16 @@ def read_samples(path: str) -> np.ndarray:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or "value" not in reader.fieldnames:
                 raise CdfError(f"{path}: CSV sample files need a 'value' column")
-            data = [float(row["value"]) for row in reader if row["value"] != ""]
+            data = np.array([float(row["value"]) for row in reader if row["value"] != ""])
         else:
-            data = [float(line) for line in fh if line.strip()]
-    if not data:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty file is reported below
+                data = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+            if data.shape[1] != 1:
+                raise CdfError(f"{path}: expected one value per line")
+            data = data.ravel()
+    if data.size == 0:
         raise CdfError(f"{path}: no samples found")
-    return np.asarray(data, dtype=float)
+    if not np.all(np.isfinite(data)):
+        raise CdfError(f"{path}: samples must be finite, found {data[~np.isfinite(data)][0]}")
+    return data

@@ -249,7 +249,8 @@ def _cmd_pot(args) -> None:
             data = read_samples(args.samples)
         except OSError as exc:
             raise CliError(EXIT_INPUT, f"cannot read samples {args.samples}: {exc}")
-        except ValueError as exc:  # CdfError is a ValueError
+        # CdfError is a ValueError; a CSV row short of its value cell is a TypeError
+        except (ValueError, TypeError) as exc:
             raise CliError(EXIT_INPUT, f"bad sample file {args.samples}: {exc}")
         fit = fit_gpd(data[data > args.u] - args.u)
         _write_output(_report(fit.to_dict(), vars(args)), args.out)

@@ -5,7 +5,8 @@ law, and the negative-power Beta law on [-1, 0]; together, up to affine
 reparametrization, they are exactly the generalized Pareto family.  Their
 classical counterparts (Gumbel, Frechet, Weibull) are carried alongside
 them so that the classical-to-free homomorphism u -> (1 + c ln u)_+ can
-be exercised on both ends.
+be exercised on both ends.  Only ``StdNormalCdf`` imports scipy (its
+``ndtr``/``ndtri``), when it is constructed.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import special
 
 from . import poisson
 from .cdf import (
@@ -329,18 +329,21 @@ class WeibullCdf(Cdf):
 
 class StdNormalCdf(Cdf):
     def __init__(self):
+        from scipy.special import ndtr, ndtri
+
         super().__init__()
+        self._ndtr, self._ndtri = ndtr, ndtri
         self._alpha_cache = -math.inf
         self._omega_cache = math.inf
 
     def _value(self, x):
-        return special.ndtr(x)
+        return self._ndtr(x)
 
     def _tail(self, x):
-        return special.ndtr(-x)
+        return self._ndtr(-x)
 
     def _quantile(self, p):
-        return special.ndtri(p)
+        return self._ndtri(p)
 
 
 def standard_cauchy() -> Cdf:

@@ -652,6 +652,43 @@ def test_read_samples_plain_and_csv(tmp_path):
     np.testing.assert_allclose(read_samples(str(csvp)), [0.5, 1.5])
 
 
+def test_read_samples_parses_as_float_does(tmp_path):
+    # numpy's parser, blank lines and CRLF ends included, gives float()'s bits
+    rng = np.random.default_rng(5)
+    values = (10.0 ** rng.uniform(-300, 300, 500) * rng.choice([-1.0, 1.0], 500)).tolist()
+    values += [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    lines = [repr(v) for v in values] + ["  +1.5\t", "1E3", ".5", ""]
+    path = tmp_path / "plain.txt"
+    path.write_bytes("\r\n".join(lines).encode())
+    expected = np.array([float(line) for line in lines if line.strip()])
+    got = read_samples(str(path))
+    assert got.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text",
+    ["1.0\nnan\n", "1.0\n-inf\n", "value\n1.0\ninf\n", "1.0 2.0\n", "\n \n"],
+    ids=["nan", "minus_inf", "csv_inf", "two_values", "blank"],
+)
+def test_read_samples_raises_cdf_error_naming_the_file(tmp_path, text):
+    path = tmp_path / "samples.txt"
+    path.write_text(text)
+    with pytest.raises(CdfError, match="samples.txt"):
+        read_samples(str(path))
+
+
+@pytest.mark.parametrize(
+    "text", ["1_000\n", "# note\n1.0\n", "1.0 # note\n", "1.0\n2.0\t3.0\n", "x\n"]
+)
+def test_read_samples_refuses_what_numpy_cannot_parse(tmp_path, text):
+    path = tmp_path / "samples.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        read_samples(str(path))
+
+
 def test_ks_distance_of_exact_sample_quantiles():
     f = UniformCdf()
     sample = f.quantile((np.arange(100) + 0.5) / 100)

@@ -321,6 +321,44 @@ def test_stdout_table_is_the_out_file_bytes(tmp_path):
     assert shown.stdout.startswith(b"x,F\r\n0.0,0.5\r\n")
 
 
+def _scipy_modules_after(code, cwd):
+    """Run ``code`` in a fresh interpreter; return its printed lists of loaded scipy modules."""
+    src = os.path.dirname(os.path.dirname(freemax.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    show = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    script = "import json, sys\n" + code.replace("SHOW", show)
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    assert _scipy_modules_after("import freemax.cli\nSHOW", tmp_path) == [[]]
+
+
+def test_scipy_loads_only_where_its_functions_run(tmp_path):
+    (tmp_path / "part.json").write_text(
+        '{"atoms": [{"id": "a", "mass": 0.5}, {"id": "b", "mass": 1.0}]}'
+    )
+    runs = [
+        ["law", "--law", '{"kind":"Uniform"}', "--out", "u.csv"],
+        ["law", "--law", '{"kind":"MarchenkoPastur"}', "--out", "mp.csv"],
+        ["spectral", "--experiment", "conv_identity", "--N", "32", "--trials", "2",
+         "--seed", "7", "--out", "s.json"],
+        ["poisson", "--partition", "part.json", "--subsets", "a;a,b", "--N", "64",
+         "--trials", "1", "--seed", "1", "--out", "p.json"],
+        ["law", "--law", '{"kind":"StdNormal"}', "--grid=-1,1,11", "--out", "n.csv"],
+    ]
+    code = "from freemax.cli import dispatch\n" + "".join(
+        f"assert dispatch({argv!r}) == 0\nSHOW\n" for argv in runs
+    )
+    seen = _scipy_modules_after(code, tmp_path)
+    assert seen[:4] == [[], [], [], []]
+    assert "scipy.special" in seen[4]
+    assert not [m for m in seen[4] if m.startswith(("scipy.integrate", "scipy.optimize"))]
+
+
 def test_unknown_subcommand_error(capsys):
     code, err = run_error(capsys, ["frobnicate"])
     assert code == EXIT_USAGE
@@ -417,6 +455,7 @@ def test_count_and_list_flags_are_usage_errors(capsys, argv):
     "name,text",
     [
         ("samples.txt", "1.0\nx\n2.0\n"),
+        ("samples.csv", "other,value\n1,2.5\n3\n"),
         ("table.csv", "x,F\n0,0.5\nx,1\n"),
         ("table.csv", "x,F\n0,0.5\n3\n"),
         ("table.csv", "x,F\n0,0.5\nnan,1\n"),
@@ -424,19 +463,37 @@ def test_count_and_list_flags_are_usage_errors(capsys, argv):
         ("part.json", '{"atoms": [{"id": "1", "mass": NaN}]}'),
         ("part.json", '{"atoms": [{"id": "1", "mass": 12}, {"id": "2", "mass": 8}]}'),
     ],
-    ids=["sample_word", "table_word", "table_short_row", "table_nan", "mass_word", "mass_nan",
-         "total_mass_above_bound"],
+    ids=["sample_word", "sample_short_csv_row", "table_word", "table_short_row", "table_nan",
+         "mass_word", "mass_nan", "total_mass_above_bound"],
 )
 def test_malformed_input_files_are_input_errors(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)
     argv = {
         "samples.txt": ["pot", "--samples", str(path)],
+        "samples.csv": ["pot", "--samples", str(path)],
         "table.csv": ["law", "--law-csv", str(path)],
         "part.json": ["poisson", "--partition", str(path), "--subsets", "1", "--seed", "1"],
     }[name]
     code, err = run_error(capsys, argv)
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "layout,bad",
+    [("plain", "nan"), ("plain", "inf"), ("plain", "-inf"), ("plain", "1_000"),
+     ("plain", "1.0 2.0"), ("csv", "nan"), ("csv", "inf")],
+)
+def test_a_bad_sample_value_is_an_input_error(tmp_path, capsys, layout, bad):
+    # one bad line among good samples: a NaN would otherwise fall out at the
+    # threshold unseen, and an inf would reach fit_gpd (exit 4)
+    values = [repr(float(v)) for v in np.random.default_rng(11).exponential(size=200)]
+    header = ["value"] if layout == "csv" else []
+    path = tmp_path / "samples.txt"
+    path.write_text("\n".join(header + values[:100] + [bad] + values[100:]) + "\n")
+    code, err = run_error(capsys, ["pot", "--samples", str(path), "--u", "0.5"])
+    assert code == err["error"]["code"] == EXIT_INPUT
+    assert str(path) in err["error"]["message"]
 
 
 # ----------------------------------------------------------------------
