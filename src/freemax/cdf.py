@@ -11,7 +11,6 @@ compute in whichever of the value/tail domains avoids cancellation.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -766,46 +765,55 @@ def write_cdf_table(f: Cdf, grid: np.ndarray, path: str) -> str:
     return path
 
 
+#: the CSV layouts' dialect: quoted cells read as ``csv.reader`` reads them
+_CSV = {"delimiter": ",", "quotechar": '"'}
+
+
+def _header(fh) -> list[str]:
+    return [cell.strip() for cell in fh.readline().split(",")]
+
+
+def _loadtxt(fh, path: str, **layout) -> np.ndarray:
+    """The rest of ``fh`` through numpy's parser: a 2-d array of finite floats.
+
+    Every sample file and CDF table is read here.  Blank lines are
+    skipped; a ``#``, an empty cell or a number that only Python's
+    ``float`` reads (``1_000``) is an error.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty file is reported below
+        data = np.loadtxt(fh, dtype=float, comments=None, ndmin=2, **layout)
+    if data.size == 0:
+        raise CdfError(f"{path}: no values found")
+    if not np.all(np.isfinite(data)):
+        raise CdfError(f"{path}: values must be finite, found {data[~np.isfinite(data)][0]}")
+    return data
+
+
 def tabulated_cdf(path: str) -> SteppedCdf:
     """Import an ``x,F`` table as a piecewise-linear CDF."""
-    xs, vs = [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["x", "F"]:
+        if _header(fh)[:2] != ["x", "F"]:
             raise CdfError(f"{path}: expected header 'x,F'")
-        for row in reader:
-            if not row:
-                continue
-            xs.append(float(row[0]))
-            vs.append(float(row[1]))
-    return SteppedCdf(xs, vs, interpolation="linear")
+        data = _loadtxt(fh, path, usecols=(0, 1), **_CSV)
+    return SteppedCdf(data[:, 0], data[:, 1], interpolation="linear")
 
 
 def read_samples(path: str) -> np.ndarray:
     """Read one float per line, or a CSV with a ``value`` column.
 
-    Plain files are parsed by ``np.loadtxt``: blank lines are skipped, and
-    a ``#`` line, a second value on a line or a number that only Python's
-    ``float`` reads (``1_000``) is an error.  Every sample must be finite.
+    Both layouts follow ``_loadtxt``'s rules, and a second value on a line
+    of the plain layout is an error.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        first = fh.readline()
-        fh.seek(0)
-        if "," in first or first.strip().lower() == "value":
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "value" not in reader.fieldnames:
-                raise CdfError(f"{path}: CSV sample files need a 'value' column")
-            data = np.array([float(row["value"]) for row in reader if row["value"] != ""])
+        header = _header(fh)
+        if len(header) == 1 and header[0].lower() != "value":
+            fh.seek(0)
+            data = _loadtxt(fh, path)
+        elif "value" in header:
+            data = _loadtxt(fh, path, usecols=(header.index("value"),), **_CSV)
         else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # an empty file is reported below
-                data = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
-            if data.shape[1] != 1:
-                raise CdfError(f"{path}: expected one value per line")
-            data = data.ravel()
-    if data.size == 0:
-        raise CdfError(f"{path}: no samples found")
-    if not np.all(np.isfinite(data)):
-        raise CdfError(f"{path}: samples must be finite, found {data[~np.isfinite(data)][0]}")
-    return data
+            raise CdfError(f"{path}: CSV sample files need a 'value' column")
+    if data.shape[1] != 1:
+        raise CdfError(f"{path}: expected one value per line")
+    return data.ravel()

@@ -83,13 +83,26 @@ def _load_law(text: Optional[str], path: Optional[str]) -> Cdf:
     if (text is None) == (path is None):
         raise CliError(EXIT_USAGE, "exactly one of --law / --law-csv is required")
     if path is not None:
-        try:
-            return tabulated_cdf(path)
-        except OSError as exc:
-            raise CliError(EXIT_INPUT, f"cannot read CDF table {path}: {exc}")
-        except (ValueError, IndexError) as exc:  # CdfError is a ValueError
-            raise CliError(EXIT_INPUT, f"bad CDF table {path}: {exc}")
+        return _read_input(tabulated_cdf, path)
     return make_law(LawSpec.from_json(text))
+
+
+def _read_input(read, path: str):
+    """``read(path)``; a file that cannot be opened or parsed is an input
+    error whose message names the file once."""
+    try:
+        return read(path)
+    except OSError as exc:
+        message = exc.strerror or str(exc)
+    except (ValueError, KeyError, TypeError) as exc:  # CdfError is a ValueError
+        message = str(exc)
+    prefix = f"{path}: "
+    raise CliError(EXIT_INPUT, message if message.startswith(prefix) else prefix + message)
+
+
+def _read_partition(path: str) -> Partition:
+    with open(path, encoding="utf-8") as fh:
+        return Partition.from_json(fh.read())
 
 
 def _parse_grid(spec: Optional[str], *cdfs: Cdf, size: int = 2001) -> np.ndarray:
@@ -129,10 +142,21 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
+def _finite(text: str) -> float:
+    """argparse type of a float flag, and the parser of a float-list entry."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # a word is refused below with the non-finite numbers
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
+        return [_finite(v) for v in text.split(",") if v != ""]
+    except argparse.ArgumentTypeError as exc:
         raise CliError(EXIT_USAGE, f"bad float list {text!r}: {exc}")
 
 
@@ -212,14 +236,7 @@ def _cmd_iterate(args) -> None:
 def _cmd_stable(args) -> None:
     g = _load_law(args.law, args.law_csv)
     check = verify_max_stable(g, args.k, tol=args.tol)
-    payload = {
-        "stable": check.stable,
-        "a": check.a,
-        "b": check.b,
-        "sup_distance": check.sup_distance,
-        "k": args.k,
-        "tol": args.tol,
-    }
+    payload = {**check._asdict(), "k": args.k, "tol": args.tol}
     _write_output(_report(payload, vars(args)), args.out)
 
 
@@ -245,13 +262,7 @@ def _cmd_attract(args) -> None:
 
 def _cmd_pot(args) -> None:
     if args.samples is not None:
-        try:
-            data = read_samples(args.samples)
-        except OSError as exc:
-            raise CliError(EXIT_INPUT, f"cannot read samples {args.samples}: {exc}")
-        # CdfError is a ValueError; a CSV row short of its value cell is a TypeError
-        except (ValueError, TypeError) as exc:
-            raise CliError(EXIT_INPUT, f"bad sample file {args.samples}: {exc}")
+        data = _read_input(read_samples, args.samples)
         fit = fit_gpd(data[data > args.u] - args.u)
         _write_output(_report(fit.to_dict(), vars(args)), args.out)
         return
@@ -261,12 +272,12 @@ def _cmd_pot(args) -> None:
     if args.gamma is None or args.u_list is None:
         raise CliError(EXIT_USAGE, "law-based pot needs --gamma and --u-list")
     rows = balkema_de_haan_check(f, args.gamma, _parse_float_list(args.u_list))
-    payload = {
-        "rows": [
-            {"u": r.u, "sigma_u": r.sigma_u, "sup_distance": r.sup_distance} for r in rows
-        ]
-    }
+    payload = {"rows": [r._asdict() for r in rows]}
     _write_output(_report(payload, vars(args)), args.out)
+
+
+def _record(args, quantity: str, value: float) -> dict:
+    return {"seed": args.seed, "N": args.N, "quantity": quantity, "value": value}
 
 
 def _spectral_general_position(args) -> list[dict]:
@@ -277,64 +288,45 @@ def _spectral_general_position(args) -> list[dict]:
         r1, r2 = combos[trial % len(combos)]
         p = haar_projection(args.N, r1, args.seed, trial, 0)
         q = haar_projection(args.N, r2, args.seed, trial, 1)
-        records.append(
-            {"seed": args.seed, "N": args.N, "quantity": f"general_position[{trial}]",
-             "value": 1.0 if general_position_check(p, q) else 0.0}
-        )
+        value = 1.0 if general_position_check(p, q) else 0.0
+        records.append(_record(args, f"general_position[{trial}]", value))
     return records
 
 
-def _seeded_pair(n: int, seed: int, trial: int) -> tuple[HermitianMatrix, HermitianMatrix]:
-    rng = rng_from_seed(seed, trial, 7)
-    a = haar_conjugate(HermitianMatrix(np.diag(np.sort(rng.random(n)))), seed, trial, 0)
-    b = haar_conjugate(HermitianMatrix(np.diag(np.sort(rng.random(n)))), seed, trial, 1)
-    return a, b
+def _seeded_pair(n: int, seed: int, trial: int, stream: int, spectrum=lambda u: u):
+    """Two Haar rotations of diagonal matrices whose spectra are ``spectrum``
+    of n uniform draws each, sorted."""
+    rng = rng_from_seed(seed, trial, stream)
+    spectra = [np.sort(spectrum(rng.random(n))) for _ in range(2)]
+    return [haar_conjugate(HermitianMatrix(np.diag(values)), seed, trial, side)
+            for side, values in enumerate(spectra)]
 
 
 def _spectral_conv_identity(args) -> list[dict]:
     records = []
+    sides = (("max", spectral_max, free_max_conv), ("min", spectral_min, free_min_conv))
     for trial in range(args.trials):
-        a, b = _seeded_pair(args.N, args.seed, trial)
-        top = spectral_max(a, b)
-        bottom = spectral_min(a, b)
+        a, b = _seeded_pair(args.N, args.seed, trial, 7)
         fa, fb = empirical_spectral_cdf(a), empirical_spectral_cdf(b)
-        up_err = float(
-            np.max(
-                np.abs(
-                    empirical_spectral_cdf(top).value(top.eigenvalues)
-                    - free_max_conv(fa, fb).value(top.eigenvalues)
-                )
-            )
-        )
-        dn_err = float(
-            np.max(
-                np.abs(
-                    empirical_spectral_cdf(bottom).value(bottom.eigenvalues)
-                    - free_min_conv(fa, fb).value(bottom.eigenvalues)
-                )
-            )
-        )
-        records.append({"seed": args.seed, "N": args.N, "quantity": f"max_identity_err[{trial}]", "value": up_err})
-        records.append({"seed": args.seed, "N": args.N, "quantity": f"min_identity_err[{trial}]", "value": dn_err})
+        for name, op, conv in sides:
+            c = op(a, b)
+            lam = c.eigenvalues
+            err = np.max(np.abs(empirical_spectral_cdf(c).value(lam) - conv(fa, fb).value(lam)))
+            records.append(_record(args, f"{name}_identity_err[{trial}]", float(err)))
     return records
 
 
 def _spectral_approx(args, use_pnorm: bool) -> list[dict]:
     records = []
+    name = "pnorm" if use_pnorm else "logexp"
+    p_list = _parse_float_list(args.p_list)
     for trial in range(args.trials):
-        rng = rng_from_seed(args.seed, trial, 3)
-        spec_a = np.sort(1.0 - 0.007 * rng.random(args.N))
-        spec_b = np.sort(1.0 - 0.007 * rng.random(args.N))
-        a = haar_conjugate(HermitianMatrix(np.diag(spec_a)), args.seed, trial, 0)
-        b = haar_conjugate(HermitianMatrix(np.diag(spec_b)), args.seed, trial, 1)
+        a, b = _seeded_pair(args.N, args.seed, trial, 3, lambda u: 1.0 - 0.007 * u)
         target = spectral_max(a, b)
-        for p in _parse_float_list(args.p_list):
+        for p in p_list:
             approx = pnorm_approx_shifted(a, b, p) if use_pnorm else logexp_approx(a, b, p)
             dist = float(np.linalg.norm(approx.array - target.array))
-            name = "pnorm" if use_pnorm else "logexp"
-            records.append(
-                {"seed": args.seed, "N": args.N, "quantity": f"{name}_dist[trial={trial},p={p:g}]", "value": dist}
-            )
+            records.append(_record(args, f"{name}_dist[trial={trial},p={p:g}]", dist))
     return records
 
 
@@ -352,13 +344,7 @@ def _cmd_spectral(args) -> None:
 
 
 def _cmd_poisson(args) -> None:
-    try:
-        with open(args.partition, encoding="utf-8") as fh:
-            partition = Partition.from_json(fh.read())
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read partition {args.partition}: {exc}")
-    except (ValueError, KeyError, TypeError) as exc:  # CdfError is a ValueError
-        raise CliError(EXIT_INPUT, f"bad partition file: {exc}")
+    partition = _read_input(_read_partition, args.partition)
     subsets = [group.split(",") for group in args.subsets.split(";") if group]
     report = extremal_process_report(partition, subsets, args.N, args.trials, args.seed)
     if args.dump_eigs:
@@ -370,95 +356,71 @@ def _cmd_poisson(args) -> None:
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
-def _add_law_args(p, second: bool = False) -> None:
-    p.add_argument("--law", help="law spec JSON {kind, shape, location, scale}")
-    p.add_argument("--law-csv", help="CDF table CSV (header x,F)")
-    if second:
-        p.add_argument("--law2", help="second law spec JSON")
-        p.add_argument("--law2-csv", help="second CDF table CSV")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="freemax", description=__doc__)
     parser.add_argument("--version", action="version", version=f"freemax {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("law", help="evaluate a law on a grid")
-    _add_law_args(p)
-    p.add_argument("--grid", help="lo,hi,count")
-    p.add_argument("--grid-size", type=_int_at_least(2), default=2001)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_law)
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.add_argument("--out")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("conv", help="convolve two laws")
-    _add_law_args(p, second=True)
+    # parent parsers: the flags several subcommands share
+    law, grid, fmt, trials = (_Parser(add_help=False) for _ in range(4))
+    law.add_argument("--law", help="law spec JSON {kind, shape, location, scale}")
+    law.add_argument("--law-csv", help="CDF table CSV (header x,F)")
+    grid.add_argument("--grid", help="lo,hi,count")
+    grid.add_argument("--grid-size", type=_int_at_least(2), default=2001)
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
+    trials.add_argument("--trials", type=_int_at_least(1), default=10)
+    trials.add_argument("--seed", type=_int_at_least(0), required=True)
+
+    command("law", _cmd_law, "evaluate a law on a grid", law, grid, fmt)
+
+    p = command("conv", _cmd_conv, "convolve two laws", law, grid, fmt)
+    p.add_argument("--law2", help="second law spec JSON")
+    p.add_argument("--law2-csv", help="second CDF table CSV")
     p.add_argument("--op", default="free_max", help="free_max | free_min | classical")
-    p.add_argument("--grid", help="lo,hi,count")
-    p.add_argument("--grid-size", type=_int_at_least(2), default=2001)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_conv)
 
-    p = sub.add_parser("iterate", help="normalized iterate convergence report")
-    _add_law_args(p)
+    p = command("iterate", _cmd_iterate, "normalized iterate convergence report", law, grid)
     p.add_argument("--type", required=True, help="target free type: I, II or III")
-    p.add_argument("--alpha", type=float, help="target shape (types II/III)")
+    p.add_argument("--alpha", type=_finite, help="target shape (types II/III)")
     p.add_argument("--n", required=True, help="comma-separated iterate orders")
-    p.add_argument("--grid", help="lo,hi,count")
-    p.add_argument("--grid-size", type=_int_at_least(2), default=2001)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_iterate)
 
-    p = sub.add_parser("stable", help="free max-stability check")
-    _add_law_args(p)
+    p = command("stable", _cmd_stable, "free max-stability check", law)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_stable)
+    p.add_argument("--tol", type=_finite, default=1e-9)
 
-    p = sub.add_parser("attract", help="norming constants and tail diagnostics")
-    _add_law_args(p)
+    p = command("attract", _cmd_attract, "norming constants and tail diagnostics", law)
     p.add_argument("--type", required=True)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=_finite)
     p.add_argument("--n", required=True)
-    p.add_argument("--rv-alpha", type=float, help="regular variation exponent to test")
+    p.add_argument("--rv-alpha", type=_finite, help="regular variation exponent to test")
     p.add_argument("--rv-x", default="0.5,1,2,4")
     p.add_argument("--rv-scales", default="10,100,1000")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_attract)
 
-    p = sub.add_parser("pot", help="peaks over threshold: fit or limit check")
-    _add_law_args(p)
+    p = command("pot", _cmd_pot, "peaks over threshold: fit or limit check", law)
     p.add_argument("--samples", help="sample file (one float per line or 'value' CSV)")
-    p.add_argument("--u", type=float, default=0.0, help="threshold for sample fitting")
-    p.add_argument("--gamma", type=float, help="target GPD shape for a law check")
+    p.add_argument("--u", type=_finite, default=0.0, help="threshold for sample fitting")
+    p.add_argument("--gamma", type=_finite, help="target GPD shape for a law check")
     p.add_argument("--u-list", help="thresholds for the limit check")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_pot)
 
-    p = sub.add_parser("spectral", help="seeded matrix experiments")
+    p = command("spectral", _cmd_spectral, "seeded matrix experiments", trials)
     p.add_argument("--experiment", required=True,
                    help="general_position | conv_identity | pnorm | logexp")
     p.add_argument("--N", type=_int_at_least(1), default=50)
-    p.add_argument("--trials", type=_int_at_least(1), default=10)
-    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--ranks", help="comma-separated ranks for general_position")
     p.add_argument("--p-list", default="16,256,4096")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_spectral)
 
-    p = sub.add_parser("poisson", help="free Poisson / extremal process report")
+    p = command("poisson", _cmd_poisson, "free Poisson / extremal process report", trials)
     p.add_argument("--partition", required=True, help="partition JSON file")
     p.add_argument("--subsets", required=True, help="semicolon-separated id groups")
     p.add_argument("--N", type=_int_at_least(1), default=500)
-    p.add_argument("--trials", type=_int_at_least(1), default=10)
-    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--dump-eigs", help="write to CSV the eigenvalues of the first subset's "
                    "matrix drawn with --seed itself, which no trial uses "
                    "(trial t draws with a seed derived from --seed and t)")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_poisson)
 
     return parser
 
@@ -477,19 +439,16 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
             args.func(args)
         return 0
     except CliError as exc:
-        sys.stderr.write(json.dumps({"error": {"code": exc.code, "message": str(exc)}}) + "\n")
-        return exc.code
+        code, message = exc.code, str(exc)
     except CdfError as exc:
-        sys.stderr.write(json.dumps({"error": {"code": EXIT_LAW, "message": str(exc)}}) + "\n")
-        return EXIT_LAW
+        code, message = EXIT_LAW, str(exc)
     except OSError as exc:
-        sys.stderr.write(json.dumps({"error": {"code": EXIT_INPUT, "message": str(exc)}}) + "\n")
-        return EXIT_INPUT
+        code, message = EXIT_INPUT, str(exc)
     except Exception as exc:
         # an input no boundary check anticipated: still one JSON error, no traceback
-        message = f"internal error: {type(exc).__name__}: {exc}"
-        sys.stderr.write(json.dumps({"error": {"code": EXIT_INTERNAL, "message": message}}) + "\n")
-        return EXIT_INTERNAL
+        code, message = EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {exc}"
+    sys.stderr.write(json.dumps({"error": {"code": code, "message": message}}) + "\n")
+    return code
 
 
 def main() -> None:

@@ -262,7 +262,8 @@ class TriangularCdf(Cdf):
         return np.where(a * x + b < 0.0, 1.0, inner)
 
     def _tail_gap(self, h):
-        return np.clip(self.m * h, 0.0, 1.0)
+        # h > 1 puts 1 - h below the atom at zero, where the tail is 1
+        return np.where(h > 1.0, 1.0, np.clip(self.m * h, 0.0, 1.0))
 
     def _left(self, x):
         vals = self._value(x)

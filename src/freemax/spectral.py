@@ -590,12 +590,7 @@ def write_matrix_csv(a: HermitianMatrix, path: str) -> str:
 
 
 def read_matrix_csv(path: str) -> HermitianMatrix:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if row:
-                rows.append([float(v) for v in row])
-    return HermitianMatrix(np.asarray(rows))
+    return HermitianMatrix(np.loadtxt(path, delimiter=",", comments=None, ndmin=2))
 
 
 def write_eigenvalues_csv(a: HermitianMatrix, path: str) -> str:

@@ -689,6 +689,24 @@ def test_read_samples_refuses_what_numpy_cannot_parse(tmp_path, text):
         read_samples(str(path))
 
 
+def test_csv_files_follow_the_plain_layouts_parser(tmp_path):
+    # quoted cells read as csv.DictReader read them; what numpy's parser
+    # refuses in the plain layout it refuses in both CSV layouts
+    path = tmp_path / "input.csv"
+    path.write_text('other,value\na,"1.5"\n\nb, 2.5 \r\n')
+    np.testing.assert_array_equal(read_samples(str(path)), [1.5, 2.5])
+    path.write_text('x,F\n"0",0.5\n1,1\n')
+    assert tabulated_cdf(str(path)).value(0.5) == pytest.approx(0.75)
+    for text in ["value\n1_000\n", "other,value\na,\n", "x,F\n0,1_000\n", "x,F\n0,\n"]:
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            (tabulated_cdf if text.startswith("x,F") else read_samples)(str(path))
+    for text in ["x,F\n", "value\n", ""]:
+        path.write_text(text)
+        with pytest.raises(CdfError, match="input.csv"):
+            (tabulated_cdf if text.startswith("x,F") else read_samples)(str(path))
+
+
 def test_ks_distance_of_exact_sample_quantiles():
     f = UniformCdf()
     sample = f.quantile((np.arange(100) + 0.5) / 100)

@@ -159,6 +159,14 @@ def test_attract_command(capsys):
     assert payload["rv_deviation"] <= 1e-9
 
 
+def test_attract_type_iii_below_the_atom_of_a_triangular_law(capsys):
+    # mass 0.3 < 1/2: u_2 sits on the atom at zero, so a_2 = omega - u_2 = 1
+    doc = run_json(capsys, ["attract", "--law", '{"kind":"TriangularProcess","shape":0.3}',
+                            "--type", "III", "--n", "2,10"])
+    a_n = [c["a_n"] for c in doc["payload"]["constants"]]
+    assert a_n == pytest.approx([1.0, 1.0 / 3.0], rel=1e-12)
+
+
 def test_attract_type_i_reports_the_mean_excess_at_the_last_threshold(capsys):
     doc = run_json(capsys, ["attract", "--law", '{"kind":"StdNormal"}', "--type", "I",
                             "--n", "10,1000"])
@@ -440,10 +448,16 @@ def test_seed_required_for_stochastic_commands(capsys):
         ["spectral", "--experiment", "pnorm", "--seed", "-1"],
         ["attract", "--law", '{"kind":"FreeTypeI"}', "--type", "I", "--n", ","],
         ["spectral", "--experiment", "general_position", "--seed", "1", "--ranks", ","],
+        ["stable", "--law", '{"kind":"FreeTypeI"}', "--tol", "nan"],
+        ["spectral", "--experiment", "logexp", "--N", "4", "--trials", "1", "--seed", "1",
+         "--p-list", "inf"],
+        ["pot", "--samples", "samples.txt", "--u", "nan"],
+        ["iterate", "--law", '{"kind":"Uniform"}', "--n", "2", "--type", "I", "--alpha", "nan"],
+        ["pot", "--law", '{"kind":"ClassicalGumbel"}', "--gamma", "inf", "--u-list", "1"],
     ],
     ids=["N_0", "trials_-1", "poisson_N_0", "poisson_trials_0", "grid_size_0", "grid_size_1",
          "grid_size_word", "grid_count_nan", "grid_hi_inf", "grid_lo_word", "seed_-1",
-         "empty_n", "empty_ranks"],
+         "empty_n", "empty_ranks", "tol_nan", "p_list_inf", "u_nan", "alpha_nan", "gamma_inf"],
 )
 def test_count_and_list_flags_are_usage_errors(capsys, argv):
     code, err = run_error(capsys, argv)
@@ -477,23 +491,80 @@ def test_malformed_input_files_are_input_errors(tmp_path, capsys, name, text):
     }[name]
     code, err = run_error(capsys, argv)
     assert code == EXIT_INPUT
+    assert err["error"]["message"].count(str(path)) == 1
+
+
+@pytest.mark.parametrize("name", ["samples.txt", "table.csv", "part.json"])
+def test_a_missing_input_file_is_named_once(tmp_path, capsys, name):
+    path = str(tmp_path / name)
+    argv = {
+        "samples.txt": ["pot", "--samples", path],
+        "table.csv": ["law", "--law-csv", path],
+        "part.json": ["poisson", "--partition", path, "--subsets", "1", "--seed", "1"],
+    }[name]
+    code, err = run_error(capsys, argv)
+    assert code == EXIT_INPUT
+    assert err["error"]["message"].count(path) == 1
 
 
 @pytest.mark.parametrize(
     "layout,bad",
     [("plain", "nan"), ("plain", "inf"), ("plain", "-inf"), ("plain", "1_000"),
-     ("plain", "1.0 2.0"), ("csv", "nan"), ("csv", "inf")],
+     ("plain", "1.0 2.0"), ("csv", "nan"), ("csv", "inf"), ("csv", "1_000"),
+     ("two_column_csv", "")],
 )
 def test_a_bad_sample_value_is_an_input_error(tmp_path, capsys, layout, bad):
     # one bad line among good samples: a NaN would otherwise fall out at the
-    # threshold unseen, and an inf would reach fit_gpd (exit 4)
+    # threshold unseen, and an inf would reach fit_gpd (exit 4); both CSV
+    # layouts parse as the plain one does, and an empty value cell is an error
     values = [repr(float(v)) for v in np.random.default_rng(11).exponential(size=200)]
-    header = ["value"] if layout == "csv" else []
+    header = {"plain": [], "csv": ["value"], "two_column_csv": ["value,tag"]}[layout]
+    suffix = ",t" if layout == "two_column_csv" else ""
+    lines = [v + suffix for v in values[:100] + [bad] + values[100:]]
     path = tmp_path / "samples.txt"
-    path.write_text("\n".join(header + values[:100] + [bad] + values[100:]) + "\n")
+    path.write_text("\n".join(header + lines) + "\n")
     code, err = run_error(capsys, ["pot", "--samples", str(path), "--u", "0.5"])
     assert code == err["error"]["code"] == EXIT_INPUT
-    assert str(path) in err["error"]["message"]
+    assert err["error"]["message"].count(str(path)) == 1
+
+
+# values taken before the subcommands' shared flags moved to parent parsers:
+# the hash covers every dest, default and value type of vars(args)
+_INPUTS_HASH = {
+    "law": "dd6dd1b687d618e0555140411d44b5a1a65fc167ee3309d8191ad8799ca8d511",
+    "conv": "908866faa0a707d17312af2e208a1d47e3a08936b873063295e22108b7f693c5",
+    "iterate": "a17c728b45fb80c8f5424aefb64d3ed15cd79024091175094acb1e001b6980fa",
+    "stable": "76deac950d87ee365cfbe478f7603e1880ffe598f498358bb901d11004c51ed6",
+    "attract": "8f37042c01ca1d50d99a6f3994cf7be523518759968340d709a3b4b44220613f",
+    "pot": "48116b6952cdfaef0eb99cf58ff805604a5edb73849d33516039b6dda7bac24c",
+    "spectral": "6be14384d2a3360f5879a11fe1ca5a2b145deef0432de058776c78ffe2e4dae3",
+    "poisson": "b72ff12d3097ec1a4f0ceb08e5ca705743a1d22220667c0cc31216962cb112b0",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["law", "--law", '{"kind":"Uniform"}', "--grid", "0,1,3", "--format", "json"],
+        ["conv", "--law", '{"kind":"Uniform"}', "--law2", '{"kind":"Uniform"}',
+         "--grid", "0,1,3", "--format", "json"],
+        ["iterate", "--law", '{"kind":"Uniform"}', "--type", "III", "--alpha", "1", "--n", "2",
+         "--grid=-1,0,3"],
+        ["stable", "--law", '{"kind":"FreeTypeI"}'],
+        ["attract", "--law", '{"kind":"ClassicalGumbel"}', "--type", "I", "--n", "2,10"],
+        ["pot", "--law", '{"kind":"ClassicalGumbel"}', "--gamma", "0", "--u-list", "2,4"],
+        ["spectral", "--experiment", "conv_identity", "--N", "4", "--trials", "1", "--seed", "1"],
+        ["poisson", "--partition", "part.json", "--subsets", "a;b", "--N", "8", "--trials", "1",
+         "--seed", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_inputs_hash_is_pinned_per_subcommand(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # the partition path is an input, so keep it relative
+    (tmp_path / "part.json").write_text(
+        '{"atoms": [{"id": "a", "mass": 0.3}, {"id": "b", "mass": 0.5}]}')
+    doc = run_json(capsys, argv)
+    assert doc["metadata"]["inputs_hash"] == _INPUTS_HASH[argv[0]]
 
 
 # ----------------------------------------------------------------------

@@ -223,6 +223,15 @@ def test_triangular_tail_outside_unit_interval():
     assert law.left(0.0) == 0.0
 
 
+@pytest.mark.parametrize("m", [0.3, 0.5, 1.0, 2.0])
+def test_triangular_tail_gap_is_one_past_the_atom_at_zero(m):
+    # h > 1 puts omega - h = 1 - h below zero, where the tail is 1
+    law = triangular_law_cdf(m)
+    h = np.linspace(1.0, 2.0, 201)[1:]
+    np.testing.assert_array_equal(law.tail_gap(h), law.tail(1.0 - h))
+    np.testing.assert_allclose(law.tail_gap(0.25), law.tail(0.75), rtol=1e-15)
+
+
 def test_triangular_conv_is_additive_in_mass():
     conv = free_max_conv(triangular_law_cdf(0.3), triangular_law_cdf(0.4))
     target = triangular_law_cdf(0.7)
