@@ -36,7 +36,6 @@ from .cdf import (  # noqa: F401
     ks_distance,
     lower_endpoint_iterate,
     point_mass,
-    quantile,
     read_samples,
     reflect,
     rescale,
@@ -70,7 +69,6 @@ from .attraction import (  # noqa: F401
 from .spectral import (  # noqa: F401
     HermitianMatrix,
     Projection,
-    RngSeed,
     empirical_spectral_cdf,
     general_position_check,
     haar_conjugate,

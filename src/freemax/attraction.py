@@ -59,40 +59,19 @@ class NormingConstants:
         if not self.a_n > 0:
             raise CdfError("norming scale a_n must be positive")
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "a_n": self.a_n, "b_n": self.b_n, "recipe": self.recipe}
 
-
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     n: int
     a_n: float
     b_n: float
     sup_distance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "a_n": self.a_n,
-            "b_n": self.b_n,
-            "sup_distance": self.sup_distance,
-        }
 
-
-@dataclass(frozen=True)
-class GpdFit:
+class GpdFit(NamedTuple):
     gamma_hat: float
     sigma_hat: float
     n_exceedances: int
     log_likelihood: float
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma_hat": self.gamma_hat,
-            "sigma_hat": self.sigma_hat,
-            "n_exceedances": self.n_exceedances,
-            "log_likelihood": self.log_likelihood,
-        }
 
 
 class ThresholdRow(NamedTuple):
@@ -307,12 +286,7 @@ def fit_gpd(exceedances: Sequence[float]) -> GpdFit:
 # ----------------------------------------------------------------------
 # Balkema / de Haan threshold diagnostics
 # ----------------------------------------------------------------------
-def balkema_de_haan_check(
-    f: Cdf,
-    gamma: float,
-    u_list: Sequence[float],
-    grid: Optional[np.ndarray] = None,
-) -> list[ThresholdRow]:
+def balkema_de_haan_check(f: Cdf, gamma: float, u_list: Sequence[float]) -> list[ThresholdRow]:
     """Sup distance of each exceedance law to GPD(gamma) at a fitted scale.
 
     The scale sigma_u matches the median of the exceedance law to that of
@@ -329,6 +303,6 @@ def balkema_de_haan_check(
         if not sigma_u > 0:
             raise CdfError(f"could not match medians at threshold u={u}")
         scaled = rescale(g, 1.0 / sigma_u, 0.0)
-        eval_grid = comparison_grid(exc, scaled) if grid is None else grid
-        rows.append(ThresholdRow(float(u), float(sigma_u), sup_distance(exc, scaled, eval_grid)))
+        dist = sup_distance(exc, scaled, comparison_grid(exc, scaled))
+        rows.append(ThresholdRow(float(u), float(sigma_u), dist))
     return rows

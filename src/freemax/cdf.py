@@ -35,7 +35,6 @@ __all__ = [
     "exceedance_cdf",
     "atom_decomposition_max",
     "reflect",
-    "quantile",
     "empirical_cdf",
     "point_mass",
     "tabulated_cdf",
@@ -52,6 +51,10 @@ __all__ = [
 MONOTONE_SLACK = 1e-12
 
 _HUGE = 1e300
+
+#: comparison_grid spans the quantiles GRID_TAIL and 1 - GRID_TAIL of laws
+#: with an infinite endpoint.
+GRID_TAIL = 1e-4
 
 
 class CdfError(ValueError):
@@ -362,13 +365,12 @@ class FunctionCdf(Cdf):
         alpha: float = -math.inf,
         omega: float = math.inf,
         tail_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        left_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         quantile_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         super().__init__()
         if value_fn is None and tail_fn is None:
             raise CdfError("FunctionCdf needs value_fn or tail_fn")
-        hooks = {"_value": value_fn, "_tail": tail_fn, "_left": left_fn, "_quantile": quantile_fn}
+        hooks = {"_value": value_fn, "_tail": tail_fn, "_quantile": quantile_fn}
         for name, fn in hooks.items():
             if fn is not None:
                 setattr(self, name, fn)
@@ -663,11 +665,6 @@ def reflect(f: Cdf) -> Cdf:
     return ReflectCdf(f)
 
 
-def quantile(f: Cdf, p):
-    """Generalized inverse inf{x : F(x) >= p} (module-level convenience)."""
-    return f.quantile(p)
-
-
 @dataclass(frozen=True)
 class MeasureDecomposition:
     """Split of an upper free convolution into atom + restricted tail.
@@ -715,12 +712,12 @@ def atom_decomposition_max(f: Cdf, g: Cdf) -> MeasureDecomposition:
 # ----------------------------------------------------------------------
 # grids and distances
 # ----------------------------------------------------------------------
-def comparison_grid(*cdfs: Cdf, n: int = 2001, p_tail: float = 1e-4) -> np.ndarray:
+def comparison_grid(*cdfs: Cdf, n: int = 2001) -> np.ndarray:
     """Shared evaluation grid spanning tail quantiles and finite supports."""
     if not cdfs:
         raise CdfError("comparison_grid needs at least one CDF")
-    lo = min(f.alpha if math.isfinite(f.alpha) else f.quantile(p_tail) for f in cdfs)
-    hi = max(f.omega if math.isfinite(f.omega) else f.quantile(1.0 - p_tail) for f in cdfs)
+    lo = min(f.alpha if math.isfinite(f.alpha) else f.quantile(GRID_TAIL) for f in cdfs)
+    hi = max(f.omega if math.isfinite(f.omega) else f.quantile(1.0 - GRID_TAIL) for f in cdfs)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise CdfError("the tail quantiles do not span a finite range; give an explicit grid")
     if hi - lo < 1e-12:

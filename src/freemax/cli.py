@@ -8,6 +8,7 @@ error object to stderr with a distinct exit code per failure class.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -229,7 +230,7 @@ def _cmd_iterate(args) -> None:
     constants = [norming_constants(f, n, kind) for n in _parse_int_list(args.n)]
     grid = _parse_grid(args.grid, limit, size=args.grid_size)
     rows = convergence_report(f, limit, constants, grid)
-    payload = {"rows": [r.to_dict() for r in rows]}
+    payload = {"rows": [r._asdict() for r in rows]}
     _write_output(_report(payload, vars(args)), args.out)
 
 
@@ -244,7 +245,7 @@ def _cmd_attract(args) -> None:
     f = _load_law(args.law, args.law_csv)
     kind = _free_kind(args.type)
     constants = [norming_constants(f, n, kind) for n in _parse_int_list(args.n)]
-    payload: dict = {"constants": [c.to_dict() for c in constants]}
+    payload: dict = {"constants": [dataclasses.asdict(c) for c in constants]}
     if kind is LawKind.FREE_TYPE_I:
         # the Type I scale a_n is the mean excess at u_n
         payload["mean_excess_at_un"] = constants[-1].a_n
@@ -264,7 +265,7 @@ def _cmd_pot(args) -> None:
     if args.samples is not None:
         data = _read_input(read_samples, args.samples)
         fit = fit_gpd(data[data > args.u] - args.u)
-        _write_output(_report(fit.to_dict(), vars(args)), args.out)
+        _write_output(_report(fit._asdict(), vars(args)), args.out)
         return
     if args.law is None and args.law_csv is None:
         raise CliError(EXIT_USAGE, "pot needs --samples or a law")
@@ -390,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="comma-separated iterate orders")
 
     p = command("stable", _cmd_stable, "free max-stability check", law)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_int_at_least(2), default=2)
     p.add_argument("--tol", type=_finite, default=1e-9)
 
     p = command("attract", _cmd_attract, "norming constants and tail diagnostics", law)

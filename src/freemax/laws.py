@@ -507,9 +507,7 @@ class StabilityCheck(NamedTuple):
     sup_distance: float
 
 
-def verify_max_stable(
-    g: Cdf, k: int, tol: float = 1e-9, grid: Optional[np.ndarray] = None
-) -> StabilityCheck:
+def verify_max_stable(g: Cdf, k: int, tol: float = 1e-9) -> StabilityCheck:
     """Fit (a_k, b_k) by quartile matching and test G^(k)(a x + b) = G.
 
     The affine fit matches the p = 1/4 and p = 3/4 quantiles of the k-fold
@@ -530,10 +528,7 @@ def verify_max_stable(
     b = y1 - a * x1
     if not a > 0:
         return StabilityCheck(False, a, b, 1.0)
-    composed = rescale(iterate, a, b)
-    if grid is None:
-        grid = comparison_grid(g)
-    dist = sup_distance(composed, g, grid)
+    dist = sup_distance(rescale(iterate, a, b), g, comparison_grid(g))
     bounded_below = math.isfinite(g.alpha)
     return StabilityCheck(bool(bounded_below and dist <= tol), a, b, dist)
 

@@ -22,7 +22,6 @@ from .cdf import Cdf, CdfError, FunctionCdf, ks_distance
 from .spectral import (
     HermitianMatrix,
     Projection,
-    SeedLike,
     derive_seed,
     haar_orthogonal,
     rng_from_seed,
@@ -117,27 +116,27 @@ class Partition:
         return counts
 
 
-def _atom_block(partition: Partition, index: int, count: int, n: int, seed: SeedLike) -> np.ndarray:
+def _atom_block(index: int, count: int, n: int, seed: int) -> np.ndarray:
     """The atom's dedicated Gaussian block, variance 1/N, drawn by split seed."""
     rng = rng_from_seed(seed, index)
     return rng.standard_normal((n, count)) / math.sqrt(n)
 
 
-def _subset_blocks(partition: Partition, subset: Iterable[str], n: int, seed: SeedLike) -> dict:
+def _subset_blocks(partition: Partition, subset: Iterable[str], n: int, seed: int) -> dict:
     """The subset's atom blocks by atom id, in partition order; atoms without columns own none."""
     if n < 8:
         raise CdfError("free Poisson sampling needs N >= 8")
     chosen = partition._validate(subset)
     counts = partition.column_counts(n)
     return {
-        atom_id: _atom_block(partition, index, counts[atom_id], n, seed)
+        atom_id: _atom_block(index, counts[atom_id], n, seed)
         for index, (atom_id, _) in enumerate(partition.atoms)
         if atom_id in chosen and counts[atom_id] > 0
     }
 
 
 def sample_free_poisson_matrix(
-    partition: Partition, subset: Iterable[str], n: int, seed: SeedLike
+    partition: Partition, subset: Iterable[str], n: int, seed: int
 ) -> HermitianMatrix:
     """Wishart-type matrix for a subset: sum of its atoms' Gamma_j Gamma_j^T.
 
@@ -164,7 +163,7 @@ def range_projection(a: HermitianMatrix) -> Projection:
     lam_max = float(lam[-1]) if lam.size else 0.0
     if lam.size and float(lam[0]) < -RANGE_TOL * max(1.0, lam_max):
         raise CdfError("range projection needs a positive semidefinite input")
-    return Projection(a.eigenvectors[:, _range_mask(lam)], dim=a.n)
+    return Projection(a.eigenvectors[:, _range_mask(lam)])
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +282,7 @@ def triangular_law_cdf(m: float) -> TriangularCdf:
 # triangular process realization
 # ----------------------------------------------------------------------
 def realize_triangular_process(
-    partition: Partition, n: int, seed: SeedLike
+    partition: Partition, n: int, seed: int
 ) -> Dict[str, HermitianMatrix]:
     """One matrix per atom: quantile-diagonal spectrum of its triangular
     law under an independent Haar rotation (freeness surrogate)."""
@@ -378,7 +377,7 @@ def extremal_process_report(
     subsets: Sequence[Iterable[str]],
     n: int,
     trials: int,
-    seed: SeedLike,
+    seed: int,
 ) -> ProcessReport:
     """Trace law, join additivity, and spectrum fit for each subset.
 
@@ -393,7 +392,7 @@ def extremal_process_report(
     """
     if trials < 1:
         raise CdfError("at least one trial required")
-    seed = derive_seed(seed) if not isinstance(seed, int) else int(seed)
+    seed = int(seed)
     canonical = [tuple(i for i in partition.ids if i in partition._validate(s)) for s in subsets]
     starved = tuple(
         f"atom {atom_id!r} with mass {mass} receives no columns at N={n}"

@@ -18,16 +18,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable
 
 import numpy as np
 
 from .cdf import CdfError, SteppedCdf
 
 __all__ = [
-    "RngSeed",
     "HermitianMatrix",
     "Projection",
     "spectral_projection",
@@ -63,39 +61,17 @@ ACCEPT_TOL = 1e-8
 
 HERMITIAN_TOL = 1e-12
 
-SeedLike = Union[int, "RngSeed"]
 
-
-def _seed_int(seed: SeedLike) -> int:
-    if isinstance(seed, RngSeed):
-        return int(seed.seed)
-    return int(seed)
-
-
-def rng_from_seed(seed: SeedLike, *path: int) -> np.random.Generator:
+def rng_from_seed(seed: int, *path: int) -> np.random.Generator:
     """Deterministic generator for a seed and a split path."""
-    ss = np.random.SeedSequence(entropy=_seed_int(seed), spawn_key=tuple(int(p) for p in path))
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def derive_seed(seed: SeedLike, *path: int) -> int:
+def derive_seed(seed: int, *path: int) -> int:
     """Stable 63-bit child seed for independent sub-experiments."""
-    ss = np.random.SeedSequence(entropy=_seed_int(seed), spawn_key=tuple(int(p) for p in path))
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
-
-
-@dataclass(frozen=True)
-class RngSeed:
-    """64-bit seed plus the (fixed, splittable) generator identity."""
-
-    seed: int
-    algorithm: str = "pcg64-seedseq"
-
-    def generator(self, *path: int) -> np.random.Generator:
-        return rng_from_seed(self.seed, *path)
-
-    def derive(self, *path: int) -> "RngSeed":
-        return RngSeed(derive_seed(self.seed, *path), self.algorithm)
 
 
 # ----------------------------------------------------------------------
@@ -188,14 +164,11 @@ class HermitianMatrix:
 class Projection:
     """Orthogonal projection stored as an N x r orthonormal range basis."""
 
-    def __init__(self, basis: np.ndarray, dim: Optional[int] = None):
+    def __init__(self, basis: np.ndarray):
         basis = np.asarray(basis)
         if basis.ndim != 2:
             raise CdfError("projection basis must be a 2-D array")
-        n = basis.shape[0] if dim is None else int(dim)
-        if basis.shape[0] != n:
-            raise CdfError("projection basis has the wrong ambient dimension")
-        r = basis.shape[1]
+        n, r = basis.shape
         if r:
             gram_err = float(np.max(np.abs(basis.conj().T @ basis - np.eye(r))))
             if gram_err > 1e-10:
@@ -248,7 +221,7 @@ def spectral_projection(a: HermitianMatrix, t: float, kind: str = "closed_up") -
         mask = lam < t + EIG_TIE_TOL
     else:
         mask = lam < t - EIG_TIE_TOL
-    return Projection(a.eigenvectors[:, mask], dim=a.n)
+    return Projection(a.eigenvectors[:, mask])
 
 
 def _principal_sines(p: Projection, q: Projection, vectors: bool = False):
@@ -296,7 +269,7 @@ def proj_join(p: Projection, q: Projection) -> Projection:
     if q.rank == 0:
         return p
     new, _ = _join_meet_split(p, q)
-    return Projection(np.hstack([p.basis, new]), dim=p.n)
+    return Projection(np.hstack([p.basis, new]))
 
 
 def proj_meet(p: Projection, q: Projection) -> Projection:
@@ -309,7 +282,7 @@ def proj_meet(p: Projection, q: Projection) -> Projection:
     if p.rank == 0 or q.rank == 0:
         return Projection.zero(p.n)
     _, shared = _join_meet_split(p, q)
-    return Projection(shared, dim=p.n)
+    return Projection(shared)
 
 
 def range_contains(outer: Projection, inner: Projection) -> bool:
@@ -323,39 +296,34 @@ def range_contains(outer: Projection, inner: Projection) -> bool:
     return bool(_principal_sines(outer, inner)[0] <= RANK_RTOL)
 
 
-def general_position_check(p: Projection, q: Projection, tol: float = 1e-9) -> bool:
+def general_position_check(p: Projection, q: Projection) -> bool:
     """Trace law test: tau(join) = min(tau p + tau q, 1) and the meet dual.
 
     The ranks follow the sine rule of ``proj_join`` and ``proj_meet``,
-    from singular values alone: the principal sines of q against p above
-    RANK_RTOL add to p's rank for the join, the rest of q's rank is the
-    meet's.
+    from singular values alone: the ``grow`` principal sines of q against
+    p above RANK_RTOL add to p's rank for the join, the rest of q's rank
+    is the meet's.  On integer ranks both trace laws read
+    grow = min(rank q, N - rank p).
     """
     _check_same_dim(p, q)
     if p.rank == 0 or q.rank == 0:
-        grow = q.rank
-    else:
-        grow = int(np.count_nonzero(_principal_sines(p, q) > RANK_RTOL))
-    join_tau = (p.rank + grow) / p.n
-    meet_tau = (q.rank - grow) / p.n
-    want_join = min(p.tau + q.tau, 1.0)
-    want_meet = max(0.0, p.tau + q.tau - 1.0)
-    return abs(join_tau - want_join) <= tol and abs(meet_tau - want_meet) <= tol
+        return True
+    grow = int(np.count_nonzero(_principal_sines(p, q) > RANK_RTOL))
+    return grow == min(q.rank, p.n - p.rank)
 
 
 # ----------------------------------------------------------------------
 # spectral max / min
 # ----------------------------------------------------------------------
-def _batch_levels(values: np.ndarray) -> np.ndarray:
-    """Level of each sorted-descending value: the first value of its batch,
-    a batch being a run that stays within EIG_TIE_TOL of its first value."""
-    levels = np.empty_like(values)
-    start = 0
-    for i in range(1, values.size + 1):
-        if i == values.size or values[start] - values[i] > EIG_TIE_TOL:
-            levels[start:i] = values[start]
-            start = i
-    return levels
+def _batch_starts(values: np.ndarray, tol: float) -> np.ndarray:
+    """Start index of each batch of the sorted-ascending values, a batch
+    being a run that stays within ``tol`` of its first value."""
+    values = values.tolist()
+    starts: list[int] = []
+    for i, value in enumerate(values):
+        if not starts or value - values[starts[-1]] > tol:
+            starts.append(i)
+    return np.array(starts, dtype=int)
 
 
 def spectral_max(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
@@ -383,7 +351,9 @@ def spectral_max(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     vecs = vecs[:, order]
-    levels = _batch_levels(lam)
+    # batches of the ascending -lam: (-v_i) - (-v_s) is v_s - v_i exactly
+    starts = _batch_starts(-lam, EIG_TIE_TOL)
+    levels = np.repeat(lam[starts], np.diff(np.append(starts, lam.size)))
     q, r = np.linalg.qr(vecs[:, :n])
     diag = np.diagonal(r)
     failed = np.flatnonzero(np.abs(diag) <= ACCEPT_TOL)
@@ -405,12 +375,10 @@ def spectral_max(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
             basis[:, k] = col / norm
             out_vals[k] = levels[j]
             k += 1
-    if k < n:
-        # residual directions sit below every level where the joined
-        # family grows; they belong to the lowest merged value
-        fill, _ = np.linalg.qr(np.hstack([basis[:, :k], np.eye(n, dtype=basis.dtype)]))
-        basis[:, k:] = fill[:, k:n]
-        out_vals[k:] = lam[-1]
+    # k = N here: a unit d outside the accepted range would have
+    # |<d, a_j>| <= ACCEPT_TOL for each of a's N orthonormal eigenvectors
+    # (each accepted or rejected within ACCEPT_TOL of that range), so
+    # sum_j |<d, a_j>|^2 <= N ACCEPT_TOL^2 < 1, yet that sum is |d|^2 = 1
     return HermitianMatrix.from_spectrum(out_vals, basis)
 
 
@@ -514,9 +482,7 @@ def logexp_approx(a: HermitianMatrix, b: HermitianMatrix, p: float) -> Hermitian
 # ----------------------------------------------------------------------
 # Haar sampling
 # ----------------------------------------------------------------------
-def haar_orthogonal(
-    n: int, seed: SeedLike, *path: int, complex_field: bool = False
-) -> np.ndarray:
+def haar_orthogonal(n: int, seed: int, *path: int, complex_field: bool = False) -> np.ndarray:
     """Haar orthogonal (or, behind the flag, unitary) matrix.
 
     QR of a Gaussian with the diagonal phase of R pushed back into Q,
@@ -534,24 +500,19 @@ def haar_orthogonal(
     return q * np.where(d < 0.0, -1.0, 1.0)
 
 
-def haar_projection(
-    n: int, r: int, seed: SeedLike, *path: int, complex_field: bool = False
-) -> Projection:
+def haar_projection(n: int, r: int, seed: int, *path: int) -> Projection:
     """Projection onto the span of an orthonormalized N x r Gaussian."""
     if not 0 <= r <= n:
         raise CdfError("projection rank must satisfy 0 <= r <= N")
     if r == 0:
         return Projection.zero(n)
     rng = rng_from_seed(seed, *path)
-    g = rng.standard_normal((n, r))
-    if complex_field:
-        g = g + 1j * rng.standard_normal((n, r))
-    q, _ = np.linalg.qr(g)
-    return Projection(q, dim=n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    return Projection(q)
 
 
 def haar_conjugate(
-    a: HermitianMatrix, seed: SeedLike, *path: int, complex_field: bool = False
+    a: HermitianMatrix, seed: int, *path: int, complex_field: bool = False
 ) -> HermitianMatrix:
     """U a U* for Haar U; the spectrum is carried over exactly."""
     u = haar_orthogonal(a.n, seed, *path, complex_field=complex_field)
@@ -565,16 +526,8 @@ def empirical_spectral_cdf(a: HermitianMatrix) -> SteppedCdf:
     """Stepped CDF with jump (multiplicity)/N at each distinct eigenvalue."""
     lam = np.sort(a.eigenvalues)
     scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
-    atol = 1e-12 * scale
-    xs: list[float] = []
-    counts: list[int] = []
-    for value in lam:
-        if xs and value - xs[-1] <= atol:
-            counts[-1] += 1
-        else:
-            xs.append(float(value))
-            counts.append(1)
-    return SteppedCdf(xs, np.cumsum(counts) / lam.size)
+    starts = _batch_starts(lam, 1e-12 * scale)
+    return SteppedCdf(lam[starts], np.append(starts[1:], lam.size) / lam.size)
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,6 @@ from freemax.cdf import (
     ks_distance,
     lower_endpoint_iterate,
     point_mass,
-    quantile,
     read_samples,
     reflect,
     rescale,
@@ -35,6 +34,7 @@ from freemax.cdf import (
     write_cdf_table,
 )
 from freemax.laws import (
+    BetaPowerCdf,
     ExponentialCdf,
     GpdCdf,
     GumbelCdf,
@@ -45,6 +45,7 @@ from freemax.laws import (
     law_catalog,
     standard_cauchy,
 )
+from freemax.poisson import triangular_law_cdf
 
 UNIT_GRID = np.linspace(-0.5, 1.5, 801)
 
@@ -450,20 +451,20 @@ def test_reflect_point_mass():
     ],
 )
 def test_quantile_examples(law, p, expected):
-    assert quantile(law, p) == pytest.approx(expected, rel=1e-9)
+    assert law.quantile(p) == pytest.approx(expected, rel=1e-9)
 
 
 def test_quantile_rejects_out_of_range():
     with pytest.raises(CdfError):
-        quantile(UniformCdf(), 1.5)
+        UniformCdf().quantile(1.5)
     with pytest.raises(CdfError):
-        quantile(UniformCdf(), [0.5, math.nan])
+        UniformCdf().quantile([0.5, math.nan])
 
 
 def test_quantile_galois_inequality():
     f = ExponentialCdf()
     for x in (0.1, 0.9, 2.5):
-        assert quantile(f, f.value(x)) <= x + 1e-12
+        assert f.quantile(f.value(x)) <= x + 1e-12
 
 
 def _defective_law():
@@ -836,3 +837,64 @@ def test_scalar_evaluation_is_the_one_element_array_bit_for_bit(name):
                 expected = float(fn(np.array([x], dtype=float))[0])
                 assert type(got) is float, (method, x)
                 assert _bits(got) == _bits(expected), (method, x, got, expected)
+
+
+# ----------------------------------------------------------------------
+# hooks against their defining formulas
+# ----------------------------------------------------------------------
+# the atoms of the left-limit laws below sit at 0, 0.5 and 1
+HOOK_POINTS = np.array([-1.5, -0.5, -0.25, 0.0, 0.3, 0.5, 0.8, 1.0, 1.7, 2.5])
+HOOK_GAPS = np.array([0.0, 1e-6, 0.1, 0.5, 1.0, 2.0])
+
+
+def _left_check(f):
+    """left(x) against value(x - 1e-9): equal up to the slope times 1e-9."""
+    return f.left(HOOK_POINTS), f.value(HOOK_POINTS - 1e-9), 1e-8
+
+
+def _gap_check(f):
+    """tail_gap(h) against tail(omega - h)."""
+    return f.tail_gap(HOOK_GAPS), f.tail(f.omega - HOOK_GAPS), 1e-12
+
+
+def _affine_check(f, a=1.5, b=-0.25):
+    """rescale(f, a, b) against f at a x + b, on the value and tail sides."""
+    g = rescale(f, a, b)
+    t = a * HOOK_POINTS + b
+    got = np.concatenate([g.value(HOOK_POINTS), g.tail(HOOK_POINTS)])
+    return got, np.concatenate([f.value(t), f.tail(t)]), 1e-12
+
+
+def _endpoint_check(got, expected):
+    return np.array([got]), np.array([expected]), 1e-15
+
+
+HOOK_CASES = {
+    "stepped_linear_left": lambda: _left_check(
+        SteppedCdf([0.0, 1.0, 2.0], [0.2, 0.5, 1.0], interpolation="linear")),
+    "affine_tail_gap": lambda: _gap_check(rescale(BetaPowerCdf(2.0), 2.0, 0.5)),
+    "free_max_power_tail_gap": lambda: _gap_check(free_max_power(BetaPowerCdf(2.0), 3.0)),
+    "free_max_power_alpha_at_s_1": lambda: _endpoint_check(
+        free_max_power(BetaPowerCdf(2.0), 1.0).alpha,
+        Cdf._solve_alpha(free_max_power(BetaPowerCdf(2.0), 1.0))),
+    "free_max_conv_affine": lambda: _affine_check(free_max_conv(UniformCdf(), ExponentialCdf())),
+    "free_min_conv_affine": lambda: _affine_check(free_min_conv(UniformCdf(), ExponentialCdf())),
+    "free_min_conv_left": lambda: _left_check(
+        free_min_conv(empirical_cdf([0.0, 0.5]), UniformCdf())),
+    # omega solves x + (1 - e^-x) = 1, i.e. x = e^-x
+    "free_min_conv_omega": lambda: _endpoint_check(
+        free_min_conv(UniformCdf(), ExponentialCdf()).omega, 0.5671432904097838),
+    "classical_product_left": lambda: _left_check(
+        classical_max_conv(empirical_cdf([0.0, 0.5]), UniformCdf())),
+    "exceedance_left": lambda: _left_check(
+        exceedance_cdf(empirical_cdf([0.0, 0.5, 1.0, 1.5]), 0.5)),
+    "beta_power_tail_gap": lambda: _gap_check(BetaPowerCdf(2.0)),
+    "triangular_affine": lambda: _affine_check(triangular_law_cdf(0.6)),
+    "triangular_left_m_1.5": lambda: _left_check(triangular_law_cdf(1.5)),
+}
+
+
+@pytest.mark.parametrize("case", list(HOOK_CASES))
+def test_hook_matches_its_defining_formula(case):
+    got, expected, tol = HOOK_CASES[case]()
+    assert np.max(np.abs(np.asarray(got) - np.asarray(expected))) <= tol

@@ -454,10 +454,12 @@ def test_seed_required_for_stochastic_commands(capsys):
         ["pot", "--samples", "samples.txt", "--u", "nan"],
         ["iterate", "--law", '{"kind":"Uniform"}', "--n", "2", "--type", "I", "--alpha", "nan"],
         ["pot", "--law", '{"kind":"ClassicalGumbel"}', "--gamma", "inf", "--u-list", "1"],
+        ["stable", "--law", '{"kind":"FreeTypeI"}', "--k", "1"],
     ],
     ids=["N_0", "trials_-1", "poisson_N_0", "poisson_trials_0", "grid_size_0", "grid_size_1",
          "grid_size_word", "grid_count_nan", "grid_hi_inf", "grid_lo_word", "seed_-1",
-         "empty_n", "empty_ranks", "tol_nan", "p_list_inf", "u_nan", "alpha_nan", "gamma_inf"],
+         "empty_n", "empty_ranks", "tol_nan", "p_list_inf", "u_nan", "alpha_nan", "gamma_inf",
+         "stable_k_1"],
 )
 def test_count_and_list_flags_are_usage_errors(capsys, argv):
     code, err = run_error(capsys, argv)

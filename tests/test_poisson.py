@@ -326,9 +326,9 @@ def test_process_report_draws_each_atom_block_once_per_trial(monkeypatch):
     drawn = []
     atom_block = poisson._atom_block
 
-    def counting(partition, index, count, n, seed):
+    def counting(index, count, n, seed):
         drawn.append((index, seed))
-        return atom_block(partition, index, count, n, seed)
+        return atom_block(index, count, n, seed)
 
     monkeypatch.setattr(poisson, "_atom_block", counting)
     part = Partition.from_pairs([("a", 0.31), ("b", 0.43), ("c", 0.53)])
