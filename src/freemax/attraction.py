@@ -132,7 +132,7 @@ def norming_constants(f: Cdf, n: int, kind: LawKind) -> NormingConstants:
             raise CdfError("Type III norming requires a finite upper endpoint")
         # bisect in the endpoint gap h = omega - t: the direct difference
         # omega - u_n would cancel to absolute (not relative) precision
-        gap = _monotone_inf(lambda h: float(f.tail_gap(h)) >= 1.0 / n, 0.0, 1.0)
+        gap = _monotone_inf(lambda h: f.tail_gap(h) >= 1.0 / n, 0.0, 1.0)
         return NormingConstants(n, gap, omega, "TypeIII_endpoint")
     raise CdfError(f"{kind.value} is not a free extreme-value type")
 

@@ -61,12 +61,38 @@ class CdfError(ValueError):
     """Raised for malformed distribution-function input."""
 
 
-def _monotone_inf(pred: Callable[[float], bool], lo: float, hi: float) -> float:
+#: halving steps ``_monotone_inf`` decides with one predicate call
+_TREE_DEPTH = 5
+_TREE_SPAN = 1 << _TREE_DEPTH
+
+
+def _midpoint_tree(lo: float, hi: float) -> list[float]:
+    """Every midpoint the next ``_TREE_DEPTH`` halvings of [lo, hi] can
+    visit, in order: entry j is the midpoint of entries j - h and j + h,
+    where h is the lowest set bit of j, so entries 0 and _TREE_SPAN are
+    lo and hi and a walk down the tree is a binary search over indices."""
+    e = [lo] * (_TREE_SPAN + 1)
+    e[_TREE_SPAN] = hi
+    s = _TREE_SPAN
+    while s > 1:
+        h = s >> 1
+        for j in range(h, _TREE_SPAN, s):
+            e[j] = 0.5 * (e[j - h] + e[j + h])
+        s = h
+    return e
+
+
+def _monotone_inf(pred: Callable, lo: float, hi: float) -> float:
     """inf{x : pred(x)} for a monotone False->True predicate.
 
     ``lo``/``hi`` are hints; the bracket expands geometrically and is then
     bisected down to double resolution.  Returns +/-inf when the predicate
-    never/always holds within ~1e300.
+    never/always holds within ~1e300.  The bracket checks call ``pred`` on
+    floats.  The halving runs in rounds: one call of ``pred`` on an array
+    of the 2^_TREE_DEPTH - 1 midpoints the next _TREE_DEPTH steps can
+    visit, then a walk that takes those steps.  Each midpoint is the one a
+    step-by-step halving computes, and the walk stops where it would, so
+    the result is the same double even where ``pred`` is not monotone.
     """
     lo = float(lo)
     hi = float(hi)
@@ -84,14 +110,20 @@ def _monotone_inf(pred: Callable[[float], bool], lo: float, hi: float) -> float:
             return -math.inf
         lo = max(lo - step, -_HUGE)
         step *= 4.0
-    for _ in range(600):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
+    steps = 600
+    while steps and lo < 0.5 * (lo + hi) < hi:
+        e = _midpoint_tree(lo, hi)
+        holds = pred(np.array(e[1:_TREE_SPAN])).tolist()
+        i, j = 0, _TREE_SPAN
+        for _ in range(min(_TREE_DEPTH, steps)):
+            m = (i + j) >> 1
+            if not (lo < e[m] < hi):
+                return hi
+            if holds[m - 1]:
+                hi, j = e[m], m
+            else:
+                lo, i = e[m], m
+            steps -= 1
     return hi
 
 
@@ -181,8 +213,10 @@ class Cdf:
         return self._tail(self.omega - h)
 
     def _quantile(self, p: np.ndarray) -> np.ndarray:
-        """inf{t : value(t) >= p} by bisection; several levels in (0, 1)
-        are bisected together, bit-identical to one at a time."""
+        """inf{t : value(t) >= p} by bisection.  One level in (0, 1) takes
+        ``_monotone_inf``'s rounds of array evaluations; several levels are
+        bisected together by ``_monotone_inf_each``.  Both give each level
+        the double of a step-by-step scalar bisection."""
         lo = self.alpha if math.isfinite(self.alpha) else -1.0
         hi = self.omega if math.isfinite(self.omega) else 1.0
         out = np.where(p <= 0.0, -math.inf, self.omega)
@@ -473,10 +507,9 @@ class FreeMaxConvCdf(Cdf):
 
     def _solve_alpha(self):
         # the threshold where the summed tails drop to total mass 1
+        medians = self.f.quantile(0.5), self.g.quantile(0.5)
         return _monotone_inf(
-            lambda t: self.f.tail(t) + self.g.tail(t) <= 1.0,
-            min(self.f.quantile(0.5), self.g.quantile(0.5)),
-            max(self.f.quantile(0.5), self.g.quantile(0.5)) + 1.0,
+            lambda t: self.f.tail(t) + self.g.tail(t) <= 1.0, min(medians), max(medians) + 1.0
         )
 
     def _tail(self, x):
@@ -502,10 +535,9 @@ class FreeMinConvCdf(Cdf):
         self._alpha_cache = min(f.alpha, g.alpha)
 
     def _solve_omega(self):
+        medians = self.f.quantile(0.5), self.g.quantile(0.5)
         return _monotone_inf(
-            lambda t: self.f.value(t) + self.g.value(t) >= 1.0,
-            min(self.f.quantile(0.5), self.g.quantile(0.5)) - 1.0,
-            max(self.f.quantile(0.5), self.g.quantile(0.5)),
+            lambda t: self.f.value(t) + self.g.value(t) >= 1.0, min(medians) - 1.0, max(medians)
         )
 
     def _value(self, x):

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import freemax.cdf as cdf_module
 import freemax.cli  # noqa: F401  (loads every module, so every Cdf subclass exists)
+from freemax.attraction import norming_constants
 from freemax.cdf import (
     Cdf,
     CdfError,
@@ -38,6 +40,7 @@ from freemax.laws import (
     ExponentialCdf,
     GpdCdf,
     GumbelCdf,
+    LawKind,
     ParetoCdf,
     StdNormalCdf,
     UniformCdf,
@@ -45,7 +48,7 @@ from freemax.laws import (
     law_catalog,
     standard_cauchy,
 )
-from freemax.poisson import triangular_law_cdf
+from freemax.poisson import mp_cdf, triangular_law_cdf
 
 UNIT_GRID = np.linspace(-0.5, 1.5, 801)
 
@@ -479,6 +482,36 @@ def _wiggly_law():
     return FunctionCdf(lambda x: 0.5 + 0.45 * np.sin(40.0 * x + 2.0))
 
 
+def _scalar_monotone_inf(pred, lo, hi):
+    # the step-by-step scalar bisection the tree rounds of _monotone_inf
+    # must reproduce, kept verbatim as the reference
+    lo = float(lo)
+    hi = float(hi)
+    if not lo < hi:
+        lo, hi = lo - 1.0, lo + 1.0
+    step = max(1.0, 0.25 * (hi - lo))
+    while not pred(hi):
+        if hi >= cdf_module._HUGE:
+            return math.inf
+        hi = min(hi + step, cdf_module._HUGE)
+        step *= 4.0
+    step = max(1.0, 0.25 * abs(hi - lo))
+    while pred(lo):
+        if lo <= -cdf_module._HUGE:
+            return -math.inf
+        lo = max(lo - step, -cdf_module._HUGE)
+        step *= 4.0
+    for _ in range(600):
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            break
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _per_level_quantile(f, levels):
     # the one-level-at-a-time reference: one scalar bisection per level
     lo = f.alpha if math.isfinite(f.alpha) else -1.0
@@ -490,7 +523,7 @@ def _per_level_quantile(f, levels):
         elif p >= 1.0:
             out.append(f.omega)
         else:
-            out.append(cdf_module._monotone_inf(lambda t, p=p: f.value(t) >= p, lo, hi))
+            out.append(_scalar_monotone_inf(lambda t, p=p: f.value(t) >= p, lo, hi))
     return np.array(out, dtype=float)
 
 
@@ -518,13 +551,16 @@ def test_array_quantile_is_the_per_level_bisection_bit_for_bit(make):
     expected = _per_level_quantile(f, levels)
     assert np.array_equal(got, expected)
     assert np.array_equal(np.signbit(got), np.signbit(expected))
+    # one level at a time: the tree rounds of _monotone_inf
+    one_by_one = [f.quantile(p) for p in levels]
+    assert [_bits(x) for x in one_by_one] == [_bits(x) for x in expected]
     # through the public entry, as a 2-d array and as an empty one
     np.testing.assert_array_equal(f.quantile(levels[1:].reshape(-1, 2)),
                                   expected[1:].reshape(-1, 2))
     assert f.quantile(np.array([])).shape == (0,)
 
 
-def test_one_level_bisects_on_scalars(monkeypatch):
+def test_one_level_bisects_alone_and_several_levels_together(monkeypatch):
     f = free_max_power(ParetoCdf(2.0), 7.5)
     # endpoints solved before counting: they bisect too
     assert math.isfinite(f.alpha) and f.omega == math.inf
@@ -544,6 +580,110 @@ def test_one_level_bisects_on_scalars(monkeypatch):
     assert calls == {"scalar": 2, "array": 0}
     f.quantile(np.array([0.3, 0.6]))
     assert calls == {"scalar": 2, "array": 1}
+
+
+def _normal_cauchy_alpha_pred():
+    f, g = StdNormalCdf(), standard_cauchy()
+    return lambda t: f.tail(t) + g.tail(t) <= 1.0
+
+
+def _type_iii_gap_pred(f, n):
+    return lambda h: f.tail_gap(h) >= 1.0 / n
+
+
+def _last_bit_pred(t):
+    # decided by the last bit of each double: a midpoint one ulp off, or a
+    # step taken past the scalar loop's stop, changes the result
+    return (np.asarray(t, dtype=float).view(np.int64) & 1) == 1
+
+
+TREE_CASES = {
+    "exponential": lambda: (lambda t: ExponentialCdf().value(t) >= 0.3, -1.0, 1.0),
+    "gumbel_tail": lambda: (lambda t: GumbelCdf().tail(t) < 1e-6, 0.0, 1.0),
+    "pareto_power_tail": lambda: (
+        lambda t: free_max_power(ParetoCdf(2.0), 7.5).tail(t) < 0.01, 1.0, 2.0),
+    "wiggly": lambda: (lambda t: _wiggly_law().value(t) >= 0.3, -1.0, 1.0),
+    "wiggly_wide": lambda: (lambda t: _wiggly_law().value(t) >= 0.7, -1e3, 1e4),
+    "normal_cauchy_alpha": lambda: (_normal_cauchy_alpha_pred(), -1.0, 1.0),
+    "normal_cauchy_value": lambda: (
+        lambda t: free_max_conv(StdNormalCdf(), standard_cauchy()).value(t) >= 0.4, -1.0, 1.0),
+    "defective_low": lambda: (lambda t: _defective_law().value(t) >= 0.05, -1.0, 1.0),
+    "defective_high": lambda: (lambda t: _defective_law().value(t) >= 0.95, -1.0, 1.0),
+    "degenerate_equal": lambda: (lambda t: ExponentialCdf().value(t) >= 0.5, 0.5, 0.5),
+    "degenerate_reversed": lambda: (lambda t: ExponentialCdf().value(t) >= 0.5, 2.0, -3.0),
+    # roots at 0: the 600-step cap binds
+    "cap_above_zero": lambda: (lambda t: t > 0.0, -1e300, 1e300),
+    "cap_below_zero": lambda: (lambda t: t >= 0.0, -1.0, 1.0),
+    "last_bit": lambda: (_last_bit_pred, 0.1, 0.7),
+    "last_bit_wide": lambda: (_last_bit_pred, -3.3, 1.7e4),
+    "type_iii_gap": lambda: (_type_iii_gap_pred(BetaPowerCdf(2.0), 1000), 0.0, 1.0),
+    "type_iii_gap_uniform": lambda: (_type_iii_gap_pred(rescale(UniformCdf(), 3.0, -1.0), 7),
+                                     0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", list(TREE_CASES))
+def test_tree_bisection_is_the_scalar_loop_bit_for_bit(case):
+    pred, lo, hi = TREE_CASES[case]()
+    got = cdf_module._monotone_inf(pred, lo, hi)
+    expected = _scalar_monotone_inf(pred, lo, hi)
+    assert type(got) is float
+    assert _bits(got) == _bits(expected), (got, expected)
+
+
+def test_the_step_cap_binds_on_a_root_at_zero():
+    # 600 halvings of [0, 1e300] stop far above the smallest subnormal
+    assert cdf_module._monotone_inf(lambda t: t > 0.0, -1e300, 1e300) == math.ldexp(1e300, -599)
+
+
+# from [0, 1], 0.7 takes 53 halvings and 0.2 takes 55, a whole number of rounds
+@pytest.mark.parametrize("root", [0.7, 0.2])
+def test_tree_bisection_makes_one_call_per_round(root):
+    calls = {"tree": 0, "scalar": 0}
+
+    def counted(name):
+        def pred(t):
+            calls[name] += 1
+            return t >= root
+        return pred
+
+    got = cdf_module._monotone_inf(counted("tree"), 0.0, 1.0)
+    assert _bits(got) == _bits(_scalar_monotone_inf(counted("scalar"), 0.0, 1.0))
+    halvings = calls["scalar"] - 2  # pred(hi) and pred(lo) check the bracket
+    assert halvings >= 52
+    assert calls["tree"] - 2 == -(-halvings // cdf_module._TREE_DEPTH)
+    assert calls["tree"] <= -(-53 // 5) + 2
+
+
+@pytest.mark.parametrize("conv,endpoint", [(free_max_conv, "alpha"), (free_min_conv, "omega")])
+def test_convolution_endpoint_takes_each_median_once(conv, endpoint):
+    def logistic(x):
+        return 0.5 * (1.0 + np.tanh(x))
+
+    f = FunctionCdf(logistic)
+    g = rescale(FunctionCdf(logistic), 0.5, -1.0)
+    medians = f.quantile(0.5), g.quantile(0.5)
+    counts = {"f": 0, "g": 0}
+
+    def counted(name, law):
+        quantile = law.quantile
+
+        def wrapper(p):
+            counts[name] += 1
+            return quantile(p)
+        return wrapper
+
+    f.quantile, g.quantile = counted("f", f), counted("g", g)
+    got = getattr(conv(f, g), endpoint)
+    assert counts == {"f": 1, "g": 1}
+    # the bracket of the medians, solved step by step
+    if endpoint == "alpha":
+        expected = _scalar_monotone_inf(lambda t: f.tail(t) + g.tail(t) <= 1.0,
+                                        min(medians), max(medians) + 1.0)
+    else:
+        expected = _scalar_monotone_inf(lambda t: f.value(t) + g.value(t) >= 1.0,
+                                        min(medians) - 1.0, max(medians))
+    assert _bits(got) == _bits(expected)
 
 
 # ----------------------------------------------------------------------
@@ -813,9 +953,35 @@ SCALAR_LAWS = dict(
     law_catalog(),
     rescaled_iterate=rescale(free_max_iterate(ParetoCdf(2.0), 1000), 31.6, 0.5),
     f_c_gumbel=f_c_map(GumbelCdf(), 1.0),
+    exceedance_normal=exceedance_cdf(StdNormalCdf(), 1.0),
+    exceedance_beta=exceedance_cdf(BetaPowerCdf(2.0), -0.5),
+    free_max_power_beta=free_max_power(BetaPowerCdf(2.0), 7.5),
+    free_max_conv_normal_cauchy=free_max_conv(StdNormalCdf(), standard_cauchy()),
+    free_max_conv_uniform_beta=free_max_conv(UniformCdf(), BetaPowerCdf(2.0)),
+    free_min_conv_uniform_exponential=free_min_conv(UniformCdf(), ExponentialCdf()),
+    classical_product=classical_max_conv(UniformCdf(), BetaPowerCdf(2.0)),
+    reflect_exponential=reflect(ExponentialCdf()),
+    affine_beta=rescale(BetaPowerCdf(2.0), 2.0, 0.5),
+    f_c_uniform=f_c_map(UniformCdf(), 0.5),
+    marchenko_pastur=mp_cdf(0.5),
+    marchenko_pastur_atom=mp_cdf(2.0),
+    triangular=triangular_law_cdf(0.6),
+    triangular_m_1_5=triangular_law_cdf(1.5),
 )
 SCALAR_INPUTS = [0.7, 2, -1, np.float64(-1.3), np.float64(1e-300), math.inf, -math.inf,
                  math.nan, -0.0, 0.0]
+
+
+def _array_points(lo, hi):
+    """31 points: +/-0.0, the endpoints, points outside them and between."""
+    fixed = [-0.0, 0.0, -math.inf, math.inf]
+    for end in (lo, hi):
+        if math.isfinite(end):
+            fixed += [end, end - 1.0, end + 1.0, np.nextafter(end, -math.inf),
+                      np.nextafter(end, math.inf)]
+    a = lo if math.isfinite(lo) else -5.0
+    b = hi if math.isfinite(hi) else 5.0
+    return np.concatenate([fixed, np.linspace(a - 0.5, b + 0.5, 31 - len(fixed))])
 
 
 @pytest.mark.parametrize("name", sorted(SCALAR_LAWS))
@@ -837,6 +1003,35 @@ def test_scalar_evaluation_is_the_one_element_array_bit_for_bit(name):
                 expected = float(fn(np.array([x], dtype=float))[0])
                 assert type(got) is float, (method, x)
                 assert _bits(got) == _bits(expected), (method, x, got, expected)
+        # the bisection's premise: each element of an array evaluation is
+        # the one-element evaluation of that point
+        ranges = {"value": (f.alpha, f.omega), "tail": (f.alpha, f.omega)}
+        if math.isfinite(f.omega):
+            ranges["tail_gap"] = (0.0, f.omega - f.alpha)
+        for method, (lo, hi) in ranges.items():
+            fn = methods[method]
+            x = _array_points(lo, hi)
+            assert x.size == 31
+            for xi, got in zip(x.tolist(), fn(x).tolist()):
+                assert _bits(got) == _bits(fn(np.array([xi]))[0]), (method, xi)
+
+
+@pytest.mark.parametrize("name", sorted(law_catalog()))
+def test_inverses_raise_no_runtime_warning(name):
+    # the tree rounds evaluate midpoints that a step-by-step bisection skips
+    f = law_catalog()[name]
+    laws = [f, free_max_power(f, 7.5), f_c_map(f, 1.0), free_max_conv(f, StdNormalCdf()),
+            free_min_conv(f, UniformCdf())]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for law in laws:
+            law.quantile(0.3)
+            law.quantile(np.array([1e-9, 0.5, 0.999]))
+            law.alpha, law.omega
+            for n in (2, 10, 1000):
+                threshold_un(law, n)
+                if math.isfinite(law.omega):
+                    norming_constants(law, n, LawKind.FREE_TYPE_III)
 
 
 # ----------------------------------------------------------------------
