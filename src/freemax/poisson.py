@@ -160,8 +160,7 @@ def range_projection(a: HermitianMatrix) -> Projection:
     """Projection onto the eigenvectors that pass ``_range_mask`` (eigenvalue
     above RANGE_TOL * max), the rule by which the process report counts ranks."""
     lam = a.eigenvalues
-    lam_max = float(lam[-1]) if lam.size else 0.0
-    if lam.size and float(lam[0]) < -RANGE_TOL * max(1.0, lam_max):
+    if float(lam[0]) < -RANGE_TOL * max(1.0, float(lam[-1])):
         raise CdfError("range projection needs a positive semidefinite input")
     return Projection(a.eigenvectors[:, _range_mask(lam)])
 

@@ -1,18 +1,18 @@
 """Finite-dimensional spectral order: projections, joins/meets, a v b.
 
-Hermitian matrices carry their spectral resolution; the dense matrix is
-built from it only when read.  Projections are stored as orthonormal
-range bases.  Join and meet come from one SVD of the residual (I - PP*)Q,
-whose singular values are the principal sines of range(q) against
-range(p): directions with sine above RANK_RTOL extend p to the join, the
-others span the meet.  The spectral max/min of two matrices are
-assembled directly from joins of upper spectral projections, by one
-Householder QR of the merged eigenvectors in general position and a
-column sweep from the first tie or shared direction on, so the output's
-eigenvalues are exactly members of the inputs' spectra (no
-re-diagonalization noise); the spectral order a <= b is decided by the
-same sweep, as a v b = b.  Haar sampling and derived seeds make every
-randomized experiment replayable.
+Hermitian matrices carry their spectral resolution; the dense matrix, and
+the eigenvectors of a spectral max in general position, are built only
+when read.  Projections are stored as orthonormal range bases.  Join and
+meet come from one SVD of the residual (I - PP*)Q, whose singular values
+are the principal sines of range(q) against range(p): directions with
+sine above RANK_RTOL extend p to the join, the others span the meet.
+The spectral max/min of two matrices are assembled directly from joins
+of upper spectral projections, by one Householder QR of the merged
+eigenvectors in general position and a column sweep from the first tie
+or shared direction on, so the output's eigenvalues are exactly members
+of the inputs' spectra (no re-diagonalization noise); the spectral order
+a <= b is decided by the same sweep, as a v b = b.  Haar sampling and
+derived seeds make every randomized experiment replayable.
 """
 from __future__ import annotations
 
@@ -60,6 +60,8 @@ EIG_TIE_TOL = 1e-9
 ACCEPT_TOL = 1e-8
 
 HERMITIAN_TOL = 1e-12
+#: Symmetrizing 0.5 (A + A*) overflows beyond this entry size.
+_HALF_MAX = 0.5 * np.finfo(float).max
 
 
 def rng_from_seed(seed: int, *path: int) -> np.random.Generator:
@@ -77,6 +79,34 @@ def derive_seed(seed: int, *path: int) -> int:
 # ----------------------------------------------------------------------
 # core types
 # ----------------------------------------------------------------------
+def _sorted_diagonal(array: np.ndarray) -> bool:
+    """True for a real diagonal array whose diagonal is non-decreasing and
+    holds no -0.0: its diagonal and the identity are its spectral data.
+
+    ``np.linalg.eigh`` returns exactly these for it, as long as its largest
+    magnitude lies in [2^-485, 2^485] (or is 0), where LAPACK does not
+    rescale; at -0.0 on the diagonal it can return +0.0.
+    """
+    diag = np.diagonal(array)
+    return (np.isrealobj(array) and np.count_nonzero(array) == np.count_nonzero(diag)
+            and not (diag[1:] < diag[:-1]).any()
+            and not (np.signbit(diag) & (diag == 0.0)).any())
+
+
+def _require_finite(eigenvalues: np.ndarray) -> None:
+    if not np.isfinite(eigenvalues).all():
+        raise CdfError("eigenvalues must be finite")
+
+
+def _check_orthonormal(vecs: np.ndarray, tol: float, what: str) -> None:
+    """Raise unless the columns of ``vecs`` are orthonormal within ``tol``
+    (non-finite entries fail)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram_err = float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1]))))
+    if not gram_err <= tol:
+        raise CdfError(f"{what} are not orthonormal")
+
+
 class HermitianMatrix:
     """Self-adjoint matrix with a cached spectral resolution.
 
@@ -84,20 +114,32 @@ class HermitianMatrix:
     backend.  ``tau`` is the normalized trace Tr/N.  Instances are
     immutable: the arrays are set once and never written again.  A matrix
     built from an array keeps that (symmetrized) array; one built from
-    spectral data builds ``array`` on first read.
+    spectral data builds ``eigenvectors`` and ``array`` on first read.
+    A real diagonal array with a non-decreasing diagonal is its own
+    spectral resolution (the diagonal and the identity), so it takes no
+    eigensolve.
     """
 
     def __init__(self, array: np.ndarray):
         array = np.asarray(array)
-        if array.ndim != 2 or array.shape[0] != array.shape[1]:
-            raise CdfError("Hermitian input must be a square matrix")
-        scale = max(1.0, float(np.max(np.abs(array))) if array.size else 1.0)
-        if float(np.max(np.abs(array - array.conj().T))) > HERMITIAN_TOL * scale:
+        if array.ndim != 2 or array.shape[0] != array.shape[1] or not array.size:
+            raise CdfError("Hermitian input must be a nonempty square matrix")
+        if not np.isfinite(array).all():
+            raise CdfError("Hermitian input must have finite entries")
+        scale = max(1.0, float(np.max(np.abs(array))))
+        if scale > _HALF_MAX:
+            raise CdfError("Hermitian input entries must be at most half the largest double")
+        if not float(np.max(np.abs(array - array.conj().T))) <= HERMITIAN_TOL * scale:
             raise CdfError("matrix is not self-adjoint within tolerance")
         array = 0.5 * (array + array.conj().T)
         if np.isrealobj(array):
             array = array.astype(float, copy=False)
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(array)
+        if _sorted_diagonal(array):
+            self.eigenvalues = np.diagonal(array).copy()
+            self.eigenvectors = np.eye(array.shape[0])
+        else:
+            self.eigenvalues, self.eigenvectors = np.linalg.eigh(array)
+            _require_finite(self.eigenvalues)
         self.n = array.shape[0]
         self.array = array
 
@@ -110,25 +152,34 @@ class HermitianMatrix:
         """
         vecs = np.asarray(eigenvectors)
         obj = cls._assemble(eigenvalues, vecs)
-        gram_err = float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(obj.n))))
-        if gram_err > 1e-8:
-            raise CdfError("eigenvector matrix is not orthonormal")
+        _require_finite(obj.eigenvalues)
+        _check_orthonormal(vecs, 1e-8, "eigenvector columns")
         return obj
 
     @classmethod
     def _assemble(cls, eigenvalues, vecs) -> "HermitianMatrix":
         """``from_spectrum`` without the orthonormality check, for vectors
-        that already belong to a ``HermitianMatrix``."""
+        that already belong to a ``HermitianMatrix``.  ``vecs`` is an array
+        or a zero-argument function returning one, called on the first
+        read of ``eigenvectors``."""
         eigenvalues = np.asarray(eigenvalues, dtype=float).ravel()
-        n = vecs.shape[0]
-        if vecs.shape != (n, n) or eigenvalues.size != n:
+        n = eigenvalues.size
+        if not callable(vecs) and (not n or vecs.shape != (n, n)):
             raise CdfError("spectral data must be a full n x n eigensystem")
         order = np.argsort(eigenvalues, kind="stable")
         obj = cls.__new__(cls)
         obj.eigenvalues = eigenvalues[order]
-        obj.eigenvectors = vecs[:, order]
+        if callable(vecs):
+            obj._vectors = lambda: vecs()[:, order]
+        else:
+            obj.eigenvectors = vecs[:, order]
         obj.n = n
         return obj
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Orthonormal eigenvectors (columns), formed on first read."""
+        return self.__dict__.pop("_vectors")()
 
     @cached_property
     def array(self) -> np.ndarray:
@@ -146,18 +197,25 @@ class HermitianMatrix:
         return float(np.real(np.trace(self.array))) / self.n
 
     def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> "HermitianMatrix":
-        """Functional calculus: apply ``fn`` to the eigenvalues."""
-        return HermitianMatrix._assemble(fn(self.eigenvalues), self.eigenvectors)
+        """Functional calculus: apply ``fn`` to the eigenvalues.  The result
+        shares this matrix's eigenvectors; vectors not formed yet are formed
+        on the result's first read, so an eigenvalue-only caller never forms
+        them."""
+        values = np.asarray(fn(self.eigenvalues), dtype=float).ravel()
+        if values.size != self.n:
+            raise CdfError("fn must return one value per eigenvalue")
+        vecs = self.__dict__.get("eigenvectors")
+        return HermitianMatrix._assemble(
+            values, (lambda: self.eigenvectors) if vecs is None else vecs)
 
     def shifted(self, c: float) -> "HermitianMatrix":
-        return HermitianMatrix._assemble(self.eigenvalues + c, self.eigenvectors)
+        return self.apply(lambda lam: lam + c)
 
     def neg(self) -> "HermitianMatrix":
-        return HermitianMatrix._assemble(-self.eigenvalues, self.eigenvectors)
+        return self.apply(np.negative)
 
     def __repr__(self):
-        lo = self.eigenvalues[0] if self.n else math.nan
-        hi = self.eigenvalues[-1] if self.n else math.nan
+        lo, hi = self.eigenvalues[0], self.eigenvalues[-1]
         return f"HermitianMatrix(n={self.n}, spectrum=[{lo:.4g}, {hi:.4g}])"
 
 
@@ -170,9 +228,7 @@ class Projection:
             raise CdfError("projection basis must be a 2-D array")
         n, r = basis.shape
         if r:
-            gram_err = float(np.max(np.abs(basis.conj().T @ basis - np.eye(r))))
-            if gram_err > 1e-10:
-                raise CdfError("projection basis columns are not orthonormal")
+            _check_orthonormal(basis, 1e-10, "projection basis columns")
         self.basis = basis
         self.n = n
         self.rank = r
@@ -326,6 +382,17 @@ def _batch_starts(values: np.ndarray, tol: float) -> np.ndarray:
     return np.array(starts, dtype=int)
 
 
+def _qr_columns(block: np.ndarray, k: int) -> np.ndarray:
+    """Fortran-order N x N buffer whose first k columns are those of the
+    block's Householder Q times the unit phases of R's diagonal: the
+    normalized residuals of the block's first k columns."""
+    q, r = np.linalg.qr(block)
+    diag = np.diagonal(r)[:k]
+    basis = np.empty(block.shape, dtype=block.dtype, order="F")
+    basis[:, :k] = q[:, :k] * (diag / np.abs(diag))
+    return basis
+
+
 def spectral_max(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     """The spectral-order supremum a v b.
 
@@ -343,24 +410,36 @@ def spectral_max(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     5.2).  From the first column whose |R_jj| is at most ACCEPT_TOL (a tie
     or a shared direction) the sweep goes on column by column with two
     rounds of classical Gram-Schmidt.
+
+    Acceptance reads R alone.  In general position the output's
+    eigenvectors are formed, and their orthonormality checked to 1e-8, on
+    their first read: an eigenvalue-only caller pays one Householder
+    factorization and no Q, a caller that reads the vectors pays a second
+    factorization with Q.  On the sweep path the vectors are formed and
+    checked at once, from that second factorization.
     """
     _check_same_dim(a, b)
     n = a.n
     lam = np.concatenate([a.eigenvalues, b.eigenvalues])
-    vecs = np.hstack([a.eigenvectors, b.eigenvectors])
+    merged = np.hstack([a.eigenvectors, b.eigenvectors])
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
-    vecs = vecs[:, order]
     # batches of the ascending -lam: (-v_i) - (-v_s) is v_s - v_i exactly
     starts = _batch_starts(-lam, EIG_TIE_TOL)
     levels = np.repeat(lam[starts], np.diff(np.append(starts, lam.size)))
-    q, r = np.linalg.qr(vecs[:, :n])
-    diag = np.diagonal(r)
-    failed = np.flatnonzero(np.abs(diag) <= ACCEPT_TOL)
-    k = int(failed[0]) if failed.size else n
-    basis = np.empty((n, n), dtype=vecs.dtype, order="F")
-    # unit phases of R's diagonal turn Q's columns into the normalized residuals
-    basis[:, :k] = q[:, :k] * (diag[:k] / np.abs(diag[:k]))
+    block = merged[:, order[:n]]
+    failed = np.flatnonzero(np.abs(np.diagonal(np.linalg.qr(block, mode="r"))) <= ACCEPT_TOL)
+    if not failed.size:
+
+        def vectors():
+            basis = _qr_columns(block, n)
+            _check_orthonormal(basis, 1e-8, "eigenvector columns")
+            return basis
+
+        return HermitianMatrix._assemble(levels[:n], vectors)
+    k = int(failed[0])
+    basis = _qr_columns(block, k)
+    vecs = merged[:, order]
     out_vals = np.empty(n)
     out_vals[:k] = levels[:k]
     for j in range(k, lam.size):
@@ -398,8 +477,8 @@ def spectral_leq(a: HermitianMatrix, b: HermitianMatrix) -> bool:
     tolerance: a direction of a whose residual against the range already
     joined has norm at most ACCEPT_TOL counts as contained, so a principal
     sine in (RANK_RTOL, ACCEPT_TOL], which ``range_contains`` rejects,
-    passes here.  Costs one ``spectral_max``: an N x N Householder QR in
-    general position.
+    passes here.  Costs one ``spectral_max``: in general position one
+    Householder factorization of an N x N block, R alone.
     """
     top = spectral_max(a, b)
     return bool(np.all(np.abs(top.eigenvalues - b.eigenvalues) <= EIG_TIE_TOL))
@@ -525,7 +604,7 @@ def haar_conjugate(
 def empirical_spectral_cdf(a: HermitianMatrix) -> SteppedCdf:
     """Stepped CDF with jump (multiplicity)/N at each distinct eigenvalue."""
     lam = np.sort(a.eigenvalues)
-    scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
+    scale = max(1.0, float(np.max(np.abs(lam))))
     starts = _batch_starts(lam, 1e-12 * scale)
     return SteppedCdf(lam[starts], np.append(starts[1:], lam.size) / lam.size)
 

@@ -103,6 +103,156 @@ def test_projection_validates_orthonormality():
         Projection(np.array([[1.0], [1.0]]))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("array", [
+    [[NAN]], [[INF]], [[-INF]], [[1.0, NAN], [NAN, 1.0]], [[0.0, INF], [INF, 0.0]],
+    np.diag([0.0, NAN, 2.0]), np.diag([1.0, INF]), np.zeros((0, 0)), np.zeros((0, 3)),
+    # finite entries whose symmetrization or spectrum overflows
+    np.diag([1.0, 1.7e308]), [[1.7e308, 1.7e308], [1.7e308, 1.7e308]], np.full((3, 3), 8e307),
+], ids=repr)
+def test_hermitian_rejects_non_finite_and_empty_input(array):
+    with pytest.raises(CdfError):
+        HermitianMatrix(array)
+
+
+def test_from_spectrum_rejects_non_finite_and_empty_data():
+    eye = np.eye(3)
+    bad_vecs = eye.copy()
+    bad_vecs[1, 2] = NAN
+    for vals, vecs in [([0.0, NAN, 1.0], eye), ([0.0, INF, 1.0], eye), ([-INF, 0.0, 1.0], eye),
+                       ([0.0, 1.0, 2.0], bad_vecs), ([0.0, 1.0, 2.0], np.diag([1.0, INF, 1.0])),
+                       ([], np.zeros((0, 0)))]:
+        with pytest.raises(CdfError):
+            HermitianMatrix.from_spectrum(vals, vecs)
+
+
+@pytest.mark.parametrize("basis", [[[NAN], [0.0]], [[INF], [0.0]], [[1.0, 0.0], [0.0, NAN]],
+                                   np.zeros((0, 1))], ids=repr)
+def test_projection_rejects_non_finite_basis(basis):
+    with pytest.raises(CdfError):
+        Projection(np.array(basis))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_matrix_csv_with_a_non_finite_cell_is_refused(tmp_path, cell):
+    from freemax.spectral import read_matrix_csv
+
+    path = tmp_path / "matrix.csv"
+    path.write_text(f"1.0,0.5\n0.5,{cell}\n", encoding="utf-8")
+    with pytest.raises(CdfError):
+        read_matrix_csv(str(path))
+
+
+def test_apply_needs_one_value_per_eigenvalue():
+    a, b = _random_pair(5, 19)
+    for m in (a, spectral_max(a, b)):  # vectors formed, and not formed yet
+        with pytest.raises(CdfError):
+            m.apply(np.sum)
+
+
+# ----------------------------------------------------------------------
+# diagonal input: its own spectral data, bit for bit what eigh returns
+# ----------------------------------------------------------------------
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name``; returns the list of keyword dicts of its calls."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _diagonal_spectra(n, rng):
+    """Sorted test spectra of length n: generic, tied, zero, negative and
+    the 1 - 0.007u spectra of the approximation experiments."""
+    return {
+        "normal": np.sort(rng.standard_normal(n)),
+        "ties": np.sort(rng.integers(-3, 4, size=n).astype(float)),
+        "zeros": np.zeros(n),
+        "negative": np.sort(-np.abs(rng.standard_normal(n))),
+        "near_one": np.sort(1.0 - 0.007 * rng.random(n)),
+        "ties_and_zeros": np.sort(rng.integers(0, 3, size=n) / 2.0),
+    }
+
+
+DIAGONAL_SIZES = list(range(1, 41)) + [64, 200, 256, 400, 513]
+
+
+@pytest.mark.parametrize("n", DIAGONAL_SIZES)
+def test_sorted_diagonal_is_what_eigh_returns_bit_for_bit(monkeypatch, n):
+    rng = rng_from_seed(n, 61)
+    eigh_calls = _count_calls(monkeypatch, np.linalg, "eigh")
+    for name, spectrum in _diagonal_spectra(n, rng).items():
+        a = HermitianMatrix(np.diag(spectrum))
+        assert not eigh_calls, name
+        w, v = np.linalg.eigh(np.diag(spectrum))
+        eigh_calls.clear()
+        assert a.eigenvalues.tobytes() == w.tobytes(), name
+        assert a.eigenvectors.tobytes() == v.tobytes(), name
+        assert a.eigenvectors.flags.c_contiguous == v.flags.c_contiguous
+        assert a.eigenvalues.tobytes() == spectrum.tobytes()
+        assert a.array.tobytes() == np.diag(spectrum).tobytes()
+
+
+def test_sorted_diagonal_keeps_its_values_where_eigh_rescales():
+    # beyond [2^-485, 2^485] LAPACK scales the matrix and its eigenvalues can
+    # come back an ulp off; the diagonal is the exact spectrum
+    rng = rng_from_seed(3, 62)
+    for scale in (1e-300, 1e-200, 1e200, 1e300):
+        spectrum = scale * np.sort(rng.standard_normal(64))
+        a = HermitianMatrix(np.diag(spectrum))
+        assert a.eigenvalues.tobytes() == spectrum.tobytes()
+        np.testing.assert_array_equal(a.eigenvectors, np.eye(64))
+        w = np.linalg.eigh(np.diag(spectrum))[0]
+        assert np.max(np.abs(w - spectrum) / np.abs(spectrum)) <= 4 * np.finfo(float).eps
+
+
+def _unsorted(d):
+    return np.diag(d[::-1]) if d[0] != d[-1] else np.diag(d + np.arange(d.size)[::-1])
+
+
+def _with_negative_zero(d):
+    d = d.copy()
+    d[d.size // 2] = -0.0
+    return np.diag(np.sort(d))
+
+
+def _off_diagonal(d):
+    m = np.diag(d)
+    m[0, -1] = m[-1, 0] = 1e-300
+    return m
+
+
+@pytest.mark.parametrize("make", [_unsorted, _with_negative_zero, _off_diagonal,
+                                  lambda d: np.diag(d).astype(complex)],
+                         ids=["unsorted", "negative_zero", "off_diagonal", "complex"])
+@pytest.mark.parametrize("n", [2, 33, 64, 200])
+def test_other_input_goes_to_eigh(monkeypatch, make, n):
+    array = make(np.sort(rng_from_seed(n, 63).standard_normal(n)))
+    eigh_calls = _count_calls(monkeypatch, np.linalg, "eigh")
+    a = HermitianMatrix(array)
+    assert len(eigh_calls) == 1
+    w, v = np.linalg.eigh(0.5 * (array + array.conj().T))
+    assert a.eigenvalues.tobytes() == w.tobytes()
+    assert a.eigenvectors.tobytes() == v.tobytes()
+
+
+def test_negative_zero_diagonal_goes_to_eigh_where_eigh_flips_its_sign():
+    # the case the -0.0 rule exists for: eigh returns +0.0 for -0.0 entries
+    # of a sorted diagonal from N = 33 on
+    d = np.sort(rng_from_seed(5, 64).integers(-2, 3, size=64).astype(float))
+    d[d == 0.0] = -0.0
+    w = np.linalg.eigh(np.diag(d))[0]
+    assert w.tobytes() != d.tobytes()
+    assert HermitianMatrix(np.diag(d)).eigenvalues.tobytes() == w.tobytes()
+
+
 def test_rng_seed_reproducibility():
     x = rng_from_seed(42, 1).standard_normal(5)
     y = rng_from_seed(42, 1).standard_normal(5)
@@ -360,6 +510,128 @@ def test_spectral_max_matches_column_sweep(case):
     assert np.max(np.abs(ours.array - ref.array)) <= 1e-12
     vecs = ours.eigenvectors
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(a.n))) <= 1e-12
+
+
+def _eager_spectral_max(a, b):
+    """spectral_max as it was before its vectors became lazy, verbatim: the
+    reduced QR decides acceptance and Q is formed and checked at once."""
+    from freemax.spectral import ACCEPT_TOL, _batch_starts
+
+    n = a.n
+    lam = np.concatenate([a.eigenvalues, b.eigenvalues])
+    vecs = np.hstack([a.eigenvectors, b.eigenvectors])
+    order = np.argsort(-lam, kind="stable")
+    lam = lam[order]
+    vecs = vecs[:, order]
+    starts = _batch_starts(-lam, EIG_TIE_TOL)
+    levels = np.repeat(lam[starts], np.diff(np.append(starts, lam.size)))
+    q, r = np.linalg.qr(vecs[:, :n])
+    diag = np.diagonal(r)
+    failed = np.flatnonzero(np.abs(diag) <= ACCEPT_TOL)
+    k = int(failed[0]) if failed.size else n
+    basis = np.empty((n, n), dtype=vecs.dtype, order="F")
+    basis[:, :k] = q[:, :k] * (diag[:k] / np.abs(diag[:k]))
+    out_vals = np.empty(n)
+    out_vals[:k] = levels[:k]
+    for j in range(k, lam.size):
+        if k >= n:
+            break
+        col = vecs[:, j]
+        accepted = basis[:, :k]
+        for _ in range(2):
+            col = col - accepted @ (accepted.conj().T @ col)
+        norm = float(np.linalg.norm(col))
+        if norm > ACCEPT_TOL:
+            basis[:, k] = col / norm
+            out_vals[k] = levels[j]
+            k += 1
+    return HermitianMatrix.from_spectrum(out_vals, basis)
+
+
+def _eager_apply(m, fn):
+    """The functional calculus with the parent's vectors permuted at once."""
+    return HermitianMatrix._assemble(fn(m.eigenvalues), m.eigenvectors)
+
+
+def _same_bits(ours, ref):
+    for attr in ("eigenvalues", "eigenvectors", "array"):
+        x, y = getattr(ours, attr), getattr(ref, attr)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes(), attr
+
+
+EXACTNESS_CASES = dict(
+    ORACLE_CASES,
+    generic_haar_256=(lambda: _random_pair(256, 814), "qr"),
+    generic_complex_60=(lambda: _complex_pair(60, 815), "qr"),
+    near_one_spectra=(lambda: _random_pair(64, 816, lo=0.993, hi=1.0), "qr"),
+)
+
+
+@pytest.mark.parametrize("case", list(EXACTNESS_CASES))
+def test_spectral_max_is_the_eager_sweep_bit_for_bit(case):
+    a, b = EXACTNESS_CASES[case][0]()
+    top = spectral_max(a, b)
+    if EXACTNESS_CASES[case][1] == "qr":
+        assert "eigenvectors" not in vars(top)
+    # transforms of a result whose vectors are not formed yet
+    derived = [top.neg(), top.shifted(-0.25), top.apply(np.sqrt), top.neg().neg()]
+    ref = _eager_spectral_max(a, b)
+    _same_bits(top, ref)
+    ref_derived = [_eager_apply(ref, np.negative), _eager_apply(ref, lambda lam: lam - 0.25),
+                   _eager_apply(ref, np.sqrt),
+                   _eager_apply(_eager_apply(ref, np.negative), np.negative)]
+    for ours, want in zip(derived, ref_derived):
+        _same_bits(ours, want)
+    # the meet, through the negated inputs
+    low = spectral_min(a, b)
+    ref_low = _eager_apply(
+        _eager_spectral_max(_eager_apply(a, np.negative), _eager_apply(b, np.negative)),
+        np.negative)
+    _same_bits(low, ref_low)
+
+
+def test_eigenvalue_only_callers_factor_once_and_form_no_q(monkeypatch):
+    import freemax.spectral as spectral
+
+    a, b = _random_pair(60, 817)
+    qr_calls = _count_calls(monkeypatch, np.linalg, "qr")
+    checks = _count_calls(monkeypatch, spectral, "_check_orthonormal")
+    top = spectral_max(a, b)
+    low = spectral_min(a, b)
+    assert not spectral_leq(a, b) and not spectral_leq(b, a)
+    # one R-only factorization per sup, those of spectral_leq included
+    assert [c.get("mode") for c in qr_calls] == ["r"] * 4
+    assert not checks
+    derived = low.shifted(1.0)
+    assert "eigenvectors" not in vars(low) and "eigenvectors" not in vars(top)
+    vecs = derived.eigenvectors
+    # reading forms Q once and checks it once; the parent keeps the result
+    assert [c.get("mode") for c in qr_calls[4:]] == [None]
+    assert len(checks) == 1
+    assert "eigenvectors" in vars(low) and derived.eigenvectors is vecs
+    low.array, derived.array, top.eigenvalues
+    assert len(qr_calls) == 5 and len(checks) == 1
+
+
+def test_sweep_path_forms_and_checks_its_vectors_at_once(monkeypatch):
+    import freemax.spectral as spectral
+
+    a, b = _diagonal_pair()
+    checks = _count_calls(monkeypatch, spectral, "_check_orthonormal")
+    top = spectral_max(a, b)
+    assert "eigenvectors" in vars(top) and len(checks) == 1
+
+
+def test_diagonal_inputs_make_no_eigensolve(monkeypatch):
+    eigh_calls = _count_calls(monkeypatch, np.linalg, "eigh")
+    a, b = _random_pair(40, 818)
+    spectral_max(a, b)
+    rng = rng_from_seed(818, 1)
+    d1, d2 = (HermitianMatrix(np.diag(np.sort(rng.integers(0, 4, size=30) / 4.0)))
+              for _ in range(2))
+    spectral_min(d1, d2).array
+    assert not eigh_calls
 
 
 def test_spectral_max_commuting_diagonals():
