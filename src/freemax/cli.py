@@ -133,16 +133,6 @@ def _int_at_least(minimum: int):
     return count
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        values = [int(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, f"bad integer list {text!r}: {exc}")
-    if not values:
-        raise CliError(EXIT_USAGE, f"expected at least one integer, got {text!r}")
-    return values
-
-
 def _finite(text: str) -> float:
     """argparse type of a float flag, and the parser of a float-list entry."""
     try:
@@ -154,11 +144,16 @@ def _finite(text: str) -> float:
     return value
 
 
-def _parse_float_list(text: str) -> list[float]:
+def _parse_list(text: str, element=int) -> list:
+    """A comma-separated list flag, each entry parsed by ``element``
+    (``int`` or ``_finite``); an empty list is a usage error."""
     try:
-        return [_finite(v) for v in text.split(",") if v != ""]
-    except argparse.ArgumentTypeError as exc:
-        raise CliError(EXIT_USAGE, f"bad float list {text!r}: {exc}")
+        values = [element(v) for v in text.split(",") if v != ""]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise CliError(EXIT_USAGE, f"bad list {text!r}: {exc}")
+    if not values:
+        raise CliError(EXIT_USAGE, f"expected at least one value, got {text!r}")
+    return values
 
 
 def _free_kind(type_flag: str) -> LawKind:
@@ -227,7 +222,7 @@ def _cmd_iterate(args) -> None:
     f = _load_law(args.law, args.law_csv)
     kind = _free_kind(args.type)
     limit = make_law(LawSpec(kind, shape=args.alpha))
-    constants = [norming_constants(f, n, kind) for n in _parse_int_list(args.n)]
+    constants = [norming_constants(f, n, kind) for n in _parse_list(args.n)]
     grid = _parse_grid(args.grid, limit, size=args.grid_size)
     rows = convergence_report(f, limit, constants, grid)
     payload = {"rows": [r._asdict() for r in rows]}
@@ -244,7 +239,7 @@ def _cmd_stable(args) -> None:
 def _cmd_attract(args) -> None:
     f = _load_law(args.law, args.law_csv)
     kind = _free_kind(args.type)
-    constants = [norming_constants(f, n, kind) for n in _parse_int_list(args.n)]
+    constants = [norming_constants(f, n, kind) for n in _parse_list(args.n)]
     payload: dict = {"constants": [dataclasses.asdict(c) for c in constants]}
     if kind is LawKind.FREE_TYPE_I:
         # the Type I scale a_n is the mean excess at u_n
@@ -255,8 +250,8 @@ def _cmd_attract(args) -> None:
             f,
             args.rv_alpha,
             mode,
-            _parse_float_list(args.rv_x),
-            _parse_float_list(args.rv_scales),
+            _parse_list(args.rv_x, _finite),
+            _parse_list(args.rv_scales, _finite),
         )
     _write_output(_report(payload, vars(args)), args.out)
 
@@ -272,7 +267,7 @@ def _cmd_pot(args) -> None:
     f = _load_law(args.law, args.law_csv)
     if args.gamma is None or args.u_list is None:
         raise CliError(EXIT_USAGE, "law-based pot needs --gamma and --u-list")
-    rows = balkema_de_haan_check(f, args.gamma, _parse_float_list(args.u_list))
+    rows = balkema_de_haan_check(f, args.gamma, _parse_list(args.u_list, _finite))
     payload = {"rows": [r._asdict() for r in rows]}
     _write_output(_report(payload, vars(args)), args.out)
 
@@ -283,7 +278,7 @@ def _record(args, quantity: str, value: float) -> dict:
 
 def _spectral_general_position(args) -> list[dict]:
     records = []
-    ranks = _parse_int_list(args.ranks) if args.ranks else [10, 25, 40]
+    ranks = _parse_list(args.ranks) if args.ranks is not None else [10, 25, 40]
     combos = [(r1, r2) for r1 in ranks for r2 in ranks]
     for trial in range(args.trials):
         r1, r2 = combos[trial % len(combos)]
@@ -320,7 +315,7 @@ def _spectral_conv_identity(args) -> list[dict]:
 def _spectral_approx(args, use_pnorm: bool) -> list[dict]:
     records = []
     name = "pnorm" if use_pnorm else "logexp"
-    p_list = _parse_float_list(args.p_list)
+    p_list = _parse_list(args.p_list, _finite)
     for trial in range(args.trials):
         a, b = _seeded_pair(args.N, args.seed, trial, 3, lambda u: 1.0 - 0.007 * u)
         target = spectral_max(a, b)
@@ -345,8 +340,10 @@ def _cmd_spectral(args) -> None:
 
 
 def _cmd_poisson(args) -> None:
-    partition = _read_input(_read_partition, args.partition)
     subsets = [group.split(",") for group in args.subsets.split(";") if group]
+    if not subsets:
+        raise CliError(EXIT_USAGE, f"expected at least one id group, got {args.subsets!r}")
+    partition = _read_input(_read_partition, args.partition)
     report = extremal_process_report(partition, subsets, args.N, args.trials, args.seed)
     if args.dump_eigs:
         matrix = sample_free_poisson_matrix(partition, subsets[0], args.N, args.seed)

@@ -102,18 +102,17 @@ class Partition:
             raise CdfError(f"unknown atom ids: {sorted(unknown)}")
         return chosen
 
+    def _starved(self, n: int) -> Tuple[str, ...]:
+        """One notice per atom of positive mass that gets no columns at N."""
+        return tuple(f"atom {atom_id!r} with mass {mass} receives no columns at N={n}"
+                     for atom_id, mass in self.atoms if mass > 0 and round(mass * n) == 0)
+
     def column_counts(self, n: int) -> Dict[str, int]:
-        """Columns allotted per atom: round(mass * N), fixed by the partition."""
-        counts = {}
-        for atom_id, mass in self.atoms:
-            c = int(round(mass * n))
-            if mass > 0 and c == 0:
-                warnings.warn(
-                    f"atom {atom_id!r} with mass {mass} receives no columns at N={n}",
-                    stacklevel=2,
-                )
-            counts[atom_id] = c
-        return counts
+        """Columns allotted per atom: round(mass * N), fixed by the partition;
+        warns once per atom of positive mass that gets none."""
+        for notice in self._starved(n):
+            warnings.warn(notice, stacklevel=2)
+        return {atom_id: int(round(mass * n)) for atom_id, mass in self.atoms}
 
 
 def _atom_block(index: int, count: int, n: int, seed: int) -> np.ndarray:
@@ -393,11 +392,6 @@ def extremal_process_report(
         raise CdfError("at least one trial required")
     seed = int(seed)
     canonical = [tuple(i for i in partition.ids if i in partition._validate(s)) for s in subsets]
-    starved = tuple(
-        f"atom {atom_id!r} with mass {mass} receives no columns at N={n}"
-        for atom_id, mass in partition.atoms
-        if mass > 0 and int(round(mass * n)) == 0
-    )
     named = {atom for subset in canonical for atom in subset}
     in_joins = {atom for subset in canonical if len(subset) > 1 for atom in subset}
     spectra = [[] for _ in canonical]  # per subset, per trial: the nonzero eigenvalues
@@ -428,4 +422,5 @@ def extremal_process_report(
             join_additivity_ok=ok,
             ks_distance=float(np.mean(ks_vals)) if ks_vals else 1.0,
         ))
-    return ProcessReport(records=tuple(records), trials=trials, seed=seed, warnings=starved)
+    return ProcessReport(records=tuple(records), trials=trials, seed=seed,
+                         warnings=partition._starved(n))

@@ -55,9 +55,6 @@ __all__ = [
 RANK_RTOL = 1e-9
 #: Eigenvalues within this of a threshold go to the closed side of the interval.
 EIG_TIE_TOL = 1e-9
-#: In spectral_max a merged eigenvector enlarges the joined range iff its
-#: residual against the vectors accepted before it has norm above this.
-ACCEPT_TOL = 1e-8
 
 HERMITIAN_TOL = 1e-12
 #: Symmetrizing 0.5 (A + A*) overflows beyond this entry size.
@@ -404,12 +401,13 @@ def spectral_max(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     eigenvalues are exact copies of input ones.
 
     A column enlarges the range iff its residual against the columns
-    accepted before it has norm above ACCEPT_TOL.  In general position
-    the first N merged columns all do, and one Householder QR of that
-    block gives the output basis (Golub & Van Loan, Matrix Computations,
-    5.2).  From the first column whose |R_jj| is at most ACCEPT_TOL (a tie
-    or a shared direction) the sweep goes on column by column with two
-    rounds of classical Gram-Schmidt.
+    accepted before it has norm above RANK_RTOL: that norm is the sine of
+    the column against the range joined so far, the sine ``range_contains``
+    reads.  In general position the first N merged columns all do, and one
+    Householder QR of that block gives the output basis (Golub & Van Loan,
+    Matrix Computations, 5.2).  From the first column whose |R_jj| is at
+    most RANK_RTOL (a tie or a shared direction) the sweep goes on column
+    by column with two rounds of classical Gram-Schmidt.
 
     Acceptance reads R alone.  In general position the output's
     eigenvectors are formed, and their orthonormality checked to 1e-8, on
@@ -428,7 +426,7 @@ def spectral_max(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     starts = _batch_starts(-lam, EIG_TIE_TOL)
     levels = np.repeat(lam[starts], np.diff(np.append(starts, lam.size)))
     block = merged[:, order[:n]]
-    failed = np.flatnonzero(np.abs(np.diagonal(np.linalg.qr(block, mode="r"))) <= ACCEPT_TOL)
+    failed = np.flatnonzero(np.abs(np.diagonal(np.linalg.qr(block, mode="r"))) <= RANK_RTOL)
     if not failed.size:
 
         def vectors():
@@ -450,14 +448,14 @@ def spectral_max(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
         for _ in range(2):
             col = col - accepted @ (accepted.conj().T @ col)
         norm = float(np.linalg.norm(col))
-        if norm > ACCEPT_TOL:
+        if norm > RANK_RTOL:
             basis[:, k] = col / norm
             out_vals[k] = levels[j]
             k += 1
     # k = N here: a unit d outside the accepted range would have
-    # |<d, a_j>| <= ACCEPT_TOL for each of a's N orthonormal eigenvectors
-    # (each accepted or rejected within ACCEPT_TOL of that range), so
-    # sum_j |<d, a_j>|^2 <= N ACCEPT_TOL^2 < 1, yet that sum is |d|^2 = 1
+    # |<d, a_j>| <= RANK_RTOL for each of a's N orthonormal eigenvectors
+    # (each accepted or rejected within RANK_RTOL of that range), so
+    # sum_j |<d, a_j>|^2 <= N RANK_RTOL^2 < 1, yet that sum is |d|^2 = 1
     return HermitianMatrix.from_spectrum(out_vals, basis)
 
 
@@ -473,12 +471,11 @@ def spectral_leq(a: HermitianMatrix, b: HermitianMatrix) -> bool:
     exactly when the join sweep of ``spectral_max`` adds nothing to b:
     b <= a v b always, and nested projections with equal traces are
     equal, so the relation holds iff the eigenvalues of a v b equal b's,
-    each within EIG_TIE_TOL.  The order shares the sup's sweep and
-    tolerance: a direction of a whose residual against the range already
-    joined has norm at most ACCEPT_TOL counts as contained, so a principal
-    sine in (RANK_RTOL, ACCEPT_TOL], which ``range_contains`` rejects,
-    passes here.  Costs one ``spectral_max``: in general position one
-    Householder factorization of an N x N block, R alone.
+    each within EIG_TIE_TOL.  A direction of a counts as contained when
+    its sine against the range already joined is at most RANK_RTOL, so
+    the answer is the per-level ``range_contains`` decision.  Costs one
+    ``spectral_max``: in general position one Householder factorization
+    of an N x N block, R alone.
     """
     top = spectral_max(a, b)
     return bool(np.all(np.abs(top.eigenvalues - b.eigenvalues) <= EIG_TIE_TOL))
@@ -568,15 +565,12 @@ def haar_orthogonal(n: int, seed: int, *path: int, complex_field: bool = False) 
     which is what makes the distribution exactly Haar.
     """
     rng = rng_from_seed(seed, *path)
-    if complex_field:
-        g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-        q, r = np.linalg.qr(g)
-        d = np.diag(r)
-        return q * (d / np.abs(d))
     g = rng.standard_normal((n, n))
+    if complex_field:
+        g = (g + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
     q, r = np.linalg.qr(g)
     d = np.diag(r)
-    return q * np.where(d < 0.0, -1.0, 1.0)
+    return q * (d / np.abs(d))
 
 
 def haar_projection(n: int, r: int, seed: int, *path: int) -> Projection:

@@ -455,16 +455,40 @@ def test_seed_required_for_stochastic_commands(capsys):
         ["iterate", "--law", '{"kind":"Uniform"}', "--n", "2", "--type", "I", "--alpha", "nan"],
         ["pot", "--law", '{"kind":"ClassicalGumbel"}', "--gamma", "inf", "--u-list", "1"],
         ["stable", "--law", '{"kind":"FreeTypeI"}', "--k", "1"],
+        ["spectral", "--experiment", "general_position", "--seed", "1", "--ranks", ""],
+        ["spectral", "--experiment", "pnorm", "--N", "4", "--trials", "1", "--seed", "1",
+         "--p-list", ","],
+        ["pot", "--law", '{"kind":"ClassicalGumbel"}', "--gamma", "0", "--u-list", ","],
+        ["attract", "--law", '{"kind":"FreeTypeII","shape":1}', "--type", "II", "--alpha", "1",
+         "--n", "10", "--rv-alpha", "1", "--rv-x", ","],
+        ["attract", "--law", '{"kind":"FreeTypeII","shape":1}', "--type", "II", "--alpha", "1",
+         "--n", "10", "--rv-alpha", "1", "--rv-scales", ""],
     ],
     ids=["N_0", "trials_-1", "poisson_N_0", "poisson_trials_0", "grid_size_0", "grid_size_1",
          "grid_size_word", "grid_count_nan", "grid_hi_inf", "grid_lo_word", "seed_-1",
          "empty_n", "empty_ranks", "tol_nan", "p_list_inf", "u_nan", "alpha_nan", "gamma_inf",
-         "stable_k_1"],
+         "stable_k_1", "blank_ranks", "empty_p_list", "empty_u_list", "empty_rv_x",
+         "blank_rv_scales"],
 )
 def test_count_and_list_flags_are_usage_errors(capsys, argv):
     code, err = run_error(capsys, argv)
     assert code == EXIT_USAGE
     assert err["error"]["code"] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("subsets,dump", [(";", True), ("", False), (";;", False)])
+def test_poisson_without_subsets_is_a_usage_error(tmp_path, capsys, subsets, dump):
+    part = tmp_path / "part.json"
+    part.write_text('{"atoms":[{"id":"1","mass":0.5}]}')
+    eigs = tmp_path / "eigs.csv"
+    argv = ["poisson", "--partition", str(part), "--subsets", subsets, "--N", "16",
+            "--trials", "1", "--seed", "1"]
+    code = dispatch(argv + (["--dump-eigs", str(eigs)] if dump else []))
+    out = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert out.out == ""
+    assert json.loads(out.err)["error"]["code"] == EXIT_USAGE
+    assert not eigs.exists()
 
 
 @pytest.mark.parametrize(
@@ -610,6 +634,9 @@ def _optional(draw, flag, strategy):
     return [flag, draw(strategy)] if draw(st.booleans()) else []
 
 
+_DUMP = "eigs.csv"  # an output file name in argv
+
+
 @st.composite
 def _invocations(draw):
     """(argv, files): files maps a name in argv to the text to write there."""
@@ -663,6 +690,7 @@ def _invocations(draw):
                 "--subsets", draw(st.sampled_from(["1", "1;2", "1,2", "z", ";", ""])),
                 "--trials", draw(st.sampled_from(["0", "1", "2"])),
                 "--seed", draw(st.sampled_from(["3", "-1"]))]
+        argv += _optional(draw, "--dump-eigs", st.just(_DUMP))
     return argv, files
 
 
@@ -673,7 +701,7 @@ def test_dispatch_fuzz_exits_cleanly(tmp_path, capsys, invocation):
     argv, files = invocation
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    argv = [str(tmp_path / a) if a in files or a == _DUMP else a for a in argv]
     code = dispatch(argv)
     err = capsys.readouterr().err
     assert code in (0, 2, 3, 4, 5), argv

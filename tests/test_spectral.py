@@ -398,7 +398,7 @@ def test_haar_projection_edges():
 # ----------------------------------------------------------------------
 def _reference_spectral_max(a, b):
     """The column-by-column sweep: two rounds of classical Gram-Schmidt per
-    merged eigenvector, accepted at residual norm above 1e-8."""
+    merged eigenvector, accepted at residual norm above RANK_RTOL."""
     n = a.n
     lam = np.concatenate([a.eigenvalues, b.eigenvalues])
     vecs = np.hstack([a.eigenvectors, b.eigenvectors])
@@ -421,7 +421,7 @@ def _reference_spectral_max(a, b):
                 if basis.shape[1]:
                     col = col - basis @ (basis.conj().T @ col)
             norm = float(np.linalg.norm(col))
-            if norm > 1e-8:
+            if norm > RANK_RTOL:
                 col = col / norm
                 basis = np.hstack([basis, col[:, None]])
                 out_vals.append(value)
@@ -442,7 +442,7 @@ def _qr_front(a, b):
     lam = np.concatenate([a.eigenvalues, b.eigenvalues])
     vecs = np.hstack([a.eigenvectors, b.eigenvectors])[:, np.argsort(-lam, kind="stable")]
     diag = np.abs(np.diagonal(np.linalg.qr(vecs[:, : a.n])[1]))
-    failed = np.flatnonzero(diag <= 1e-8)
+    failed = np.flatnonzero(diag <= RANK_RTOL)
     return int(failed[0]) if failed.size else a.n
 
 
@@ -513,9 +513,9 @@ def test_spectral_max_matches_column_sweep(case):
 
 
 def _eager_spectral_max(a, b):
-    """spectral_max as it was before its vectors became lazy, verbatim: the
-    reduced QR decides acceptance and Q is formed and checked at once."""
-    from freemax.spectral import ACCEPT_TOL, _batch_starts
+    """spectral_max as it was before its vectors became lazy: the reduced
+    QR decides acceptance and Q is formed and checked at once."""
+    from freemax.spectral import _batch_starts
 
     n = a.n
     lam = np.concatenate([a.eigenvalues, b.eigenvalues])
@@ -527,7 +527,7 @@ def _eager_spectral_max(a, b):
     levels = np.repeat(lam[starts], np.diff(np.append(starts, lam.size)))
     q, r = np.linalg.qr(vecs[:, :n])
     diag = np.diagonal(r)
-    failed = np.flatnonzero(np.abs(diag) <= ACCEPT_TOL)
+    failed = np.flatnonzero(np.abs(diag) <= RANK_RTOL)
     k = int(failed[0]) if failed.size else n
     basis = np.empty((n, n), dtype=vecs.dtype, order="F")
     basis[:, :k] = q[:, :k] * (diag[:k] / np.abs(diag[:k]))
@@ -541,7 +541,7 @@ def _eager_spectral_max(a, b):
         for _ in range(2):
             col = col - accepted @ (accepted.conj().T @ col)
         norm = float(np.linalg.norm(col))
-        if norm > ACCEPT_TOL:
+        if norm > RANK_RTOL:
             basis[:, k] = col / norm
             out_vals[k] = levels[j]
             k += 1
@@ -782,17 +782,36 @@ def test_leq_agrees_with_the_per_level_decision(case):
     assert decided[4] == decided[1] and decided[5] == decided[0]
 
 
-@pytest.mark.parametrize("sine,leq", [(5e-10, True), (5e-9, True), (2e-8, False)])
-def test_leq_reads_containment_at_the_sweep_tolerance(sine, leq):
-    # a's top eigenvector leans off b's by the given principal sine; at
-    # 5e-9, inside (RANK_RTOL, ACCEPT_TOL], range_contains says outside
-    # while the join sweep adds no direction
+def _leaning_pair(n, sine):
+    """a and b share a spectrum on four levels, tied for N > 4, and a Haar
+    eigenbasis, except that a's top eigenvector leans off b's top level
+    towards b's bottom eigenvector by the given principal sine."""
+    spectrum = np.sort(np.arange(n) % 4) / 4.0
+    basis = haar_orthogonal(n, 41)
     cos = math.sqrt(1.0 - sine * sine)
-    a = HermitianMatrix.from_spectrum([0.0, 1.0], np.array([[cos, -sine], [sine, cos]]))
-    b = HermitianMatrix(np.diag([0.0, 1.0]))
-    assert spectral_leq(a, b) is leq
-    assert spectral_leq(b, a) is leq
-    assert _reference_spectral_leq(a, b) is (sine <= RANK_RTOL)
+    turned = basis.copy()
+    turned[:, -1] = cos * basis[:, -1] + sine * basis[:, 0]
+    turned[:, 0] = cos * basis[:, 0] - sine * basis[:, -1]
+    return (HermitianMatrix.from_spectrum(spectrum, turned),
+            HermitianMatrix.from_spectrum(spectrum, basis))
+
+
+@pytest.mark.parametrize("n", [2, 50])
+@pytest.mark.parametrize("sine", [5e-10, 2e-9, 5e-9, 9e-9, 2e-8])
+def test_leq_is_the_per_level_decision_at_small_sines(n, sine):
+    # at N = 2 the QR path decides every sine above RANK_RTOL (its vectors
+    # are formed on first read); the tied levels at N = 50 send every sup
+    # down the sweep path
+    a, b = _leaning_pair(n, sine)
+    qr_path = n == 2 and sine > RANK_RTOL
+    assert (_qr_front(a, b) == n) == qr_path
+    for x, y in [(a, b), (b, a)]:
+        assert spectral_leq(x, y) is _reference_spectral_leq(x, y)
+        assert spectral_leq(x, y) is (sine <= RANK_RTOL)
+        top = spectral_max(x, y)
+        assert ("eigenvectors" not in vars(top)) == qr_path
+        vecs = top.eigenvectors
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(n))) <= 1e-12
 
 
 # ----------------------------------------------------------------------
