@@ -82,7 +82,7 @@ def _midpoint_tree(lo: float, hi: float) -> list[float]:
     return e
 
 
-def _monotone_inf(pred: Callable, lo: float, hi: float) -> float:
+def _monotone_inf(pred: Callable, lo: float, hi: float, windows=()) -> float:
     """inf{x : pred(x)} for a monotone False->True predicate.
 
     ``lo``/``hi`` are hints; the bracket expands geometrically and is then
@@ -93,6 +93,14 @@ def _monotone_inf(pred: Callable, lo: float, hi: float) -> float:
     visit, then a walk that takes those steps.  Each midpoint is the one a
     step-by-step halving computes, and the walk stops where it would, so
     the result is the same double even where ``pred`` is not monotone.
+
+    ``windows`` are candidate pairs (a, b), cut to the bracket; the first
+    with ``pred(a)`` False and ``pred(b)`` True is taken.  A halving whose
+    midpoint is <= a or >= b is then decided by that comparison without a
+    call, and a round runs only when the next midpoint lies inside (a, b).
+    The midpoints and the stopping rule are unchanged, so the result is
+    the double of the plain bisection wherever ``pred`` is monotone
+    outside the window.
     """
     lo = float(lo)
     hi = float(hi)
@@ -110,8 +118,20 @@ def _monotone_inf(pred: Callable, lo: float, hi: float) -> float:
             return -math.inf
         lo = max(lo - step, -_HUGE)
         step *= 4.0
+    a, b = -math.inf, math.inf
+    for wa, wb in windows:
+        wa, wb = max(wa, lo), min(wb, hi)
+        if wa < wb and (wa == lo or not pred(wa)) and (wb == hi or pred(wb)):
+            a, b = wa, wb
+            break
     steps = 600
-    while steps and lo < 0.5 * (lo + hi) < hi:
+    while steps and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if mid <= a:
+            lo, steps = mid, steps - 1
+            continue
+        if mid >= b:
+            hi, steps = mid, steps - 1
+            continue
         e = _midpoint_tree(lo, hi)
         holds = pred(np.array(e[1:_TREE_SPAN])).tolist()
         i, j = 0, _TREE_SPAN
@@ -125,6 +145,17 @@ def _monotone_inf(pred: Callable, lo: float, hi: float) -> float:
                 lo, i = e[m], m
             steps -= 1
     return hi
+
+
+#: half-widths of the windows about a closed-form guess, relative to it
+_WINDOW_SCALES = (2.0**-40, 2.0**-30, 2.0**-20)
+
+
+def _windows_about(guess: float) -> list:
+    """``_monotone_inf`` windows centred on ``guess``, narrowest first."""
+    if not math.isfinite(guess):
+        return []
+    return [(guess - abs(guess) * r, guess + abs(guess) * r) for r in _WINDOW_SCALES]
 
 
 def _monotone_inf_each(pred, lo: float, hi: float, n: int) -> np.ndarray:
@@ -212,11 +243,22 @@ class Cdf:
         # tail at omega - h; overridden where the difference would cancel
         return self._tail(self.omega - h)
 
+    def _guess_quantile(self, p: float) -> float:
+        """``_quantile`` at level p where it is a closed form, else nan:
+        bisection windows are centred here, so this never bisects.  A
+        subclass that overrides ``_quantile`` (or a ``FunctionCdf`` given
+        a ``quantile_fn``) has a closed form unless it overrides this."""
+        if getattr(self._quantile, "__func__", None) is Cdf._quantile:
+            return math.nan
+        with np.errstate(all="ignore"):
+            return float(self._quantile(np.array([p], dtype=float))[0])
+
     def _quantile(self, p: np.ndarray) -> np.ndarray:
         """inf{t : value(t) >= p} by bisection.  One level in (0, 1) takes
-        ``_monotone_inf``'s rounds of array evaluations; several levels are
-        bisected together by ``_monotone_inf_each``.  Both give each level
-        the double of a step-by-step scalar bisection."""
+        ``_monotone_inf``'s rounds of array evaluations, in windows about
+        ``_guess_quantile``; several levels are bisected together by
+        ``_monotone_inf_each``.  Both give each level the double of a
+        step-by-step scalar bisection."""
         lo = self.alpha if math.isfinite(self.alpha) else -1.0
         hi = self.omega if math.isfinite(self.omega) else 1.0
         out = np.where(p <= 0.0, -math.inf, self.omega)
@@ -224,7 +266,8 @@ class Cdf:
         levels = p[inner]
         if levels.size == 1:
             level = levels[0]
-            out[inner] = _monotone_inf(lambda t: self.value(t) >= level, lo, hi)
+            out[inner] = _monotone_inf(lambda t: self.value(t) >= level, lo, hi,
+                                       _windows_about(self._guess_quantile(level)))
         elif levels.size:
             out[inner] = _monotone_inf_each(lambda i, t: self.value(t) >= levels[i], lo, hi, levels.size)
         return out
@@ -463,6 +506,9 @@ class AffineCdf(Cdf):
     def _quantile(self, p):
         return (self.parent._quantile(p) - self.b) / self.a
 
+    def _guess_quantile(self, p):
+        return (self.parent._guess_quantile(p) - self.b) / self.a
+
 
 class FreeMaxPowerCdf(Cdf):
     """s-fold free max power: tail is min(s * Fbar, 1)."""
@@ -610,7 +656,16 @@ class ExceedanceCdf(Cdf):
         self._omega_cache = parent.omega - u
 
     def _solve_alpha(self):
-        return _monotone_inf(lambda t: self.value(t) > 0.0, 0.0, 1.0)
+        # below half the spacing of the doubles above u, fl(u + t) = u and
+        # the law is exactly 0; the answer lies about there
+        u = self.u
+        below = math.nextafter(0.5 * (math.nextafter(u, math.inf) - u), 0.0)
+        windows = [(below, abs(u) * r) for r in _WINDOW_SCALES[1:]]
+        return _monotone_inf(lambda t: self.value(t) > 0.0, 0.0, 1.0, windows)
+
+    def _guess_quantile(self, p):
+        # the excess law reaches p where the parent's tail falls to (1 - p) Fbar(u)
+        return self.parent._guess_quantile(1.0 - (1.0 - float(p)) * self.tail_u) - self.u
 
     def _tail(self, x):
         return np.where(
@@ -668,7 +723,7 @@ def tail_quantile(f: Cdf, q: float) -> float:
         raise CdfError("tail level must lie in (0, 1]")
     lo = f.alpha if math.isfinite(f.alpha) else 0.0
     hi = f.omega if math.isfinite(f.omega) else max(lo + 1.0, 1.0)
-    return _monotone_inf(lambda t: f.tail(t) < q, lo, hi)
+    return _monotone_inf(lambda t: f.tail(t) < q, lo, hi, _windows_about(f._guess_quantile(1.0 - q)))
 
 
 def threshold_un(f: Cdf, n: int) -> float:

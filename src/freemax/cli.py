@@ -340,9 +340,10 @@ def _cmd_spectral(args) -> None:
 
 
 def _cmd_poisson(args) -> None:
-    subsets = [group.split(",") for group in args.subsets.split(";") if group]
-    if not subsets:
-        raise CliError(EXIT_USAGE, f"expected at least one id group, got {args.subsets!r}")
+    # empty ids are dropped as _parse_list drops them; an emptied group is an error
+    subsets = [[i for i in group.split(",") if i] for group in args.subsets.split(";") if group]
+    if not subsets or not all(subsets):
+        raise CliError(EXIT_USAGE, f"expected nonempty id groups, got {args.subsets!r}")
     partition = _read_input(_read_partition, args.partition)
     report = extremal_process_report(partition, subsets, args.N, args.trials, args.seed)
     if args.dump_eigs:

@@ -41,11 +41,13 @@ from freemax.laws import (
     GpdCdf,
     GumbelCdf,
     LawKind,
+    LawSpec,
     ParetoCdf,
     StdNormalCdf,
     UniformCdf,
     f_c_map,
     law_catalog,
+    make_law,
     standard_cauchy,
 )
 from freemax.poisson import mp_cdf, triangular_law_cdf
@@ -684,6 +686,126 @@ def test_convolution_endpoint_takes_each_median_once(conv, endpoint):
         expected = _scalar_monotone_inf(lambda t: f.value(t) + g.value(t) >= 1.0,
                                         min(medians) - 1.0, max(medians))
     assert _bits(got) == _bits(expected)
+
+
+# ----------------------------------------------------------------------
+# bisection windows from closed-form guesses
+# ----------------------------------------------------------------------
+def _unwindowed(monkeypatch):
+    # every solve in cdf.py takes the plain bisection: the windows are dropped
+    plain = cdf_module._monotone_inf
+    monkeypatch.setattr(cdf_module, "_monotone_inf",
+                        lambda pred, lo, hi, windows=(): plain(pred, lo, hi))
+
+
+_WINDOW_SHAPES = {
+    LawKind.FREE_TYPE_II: (0.3, 4.0), LawKind.FREE_TYPE_III: (0.3, 4.0),
+    LawKind.CLASSICAL_FRECHET: (0.3, 4.0), LawKind.CLASSICAL_WEIBULL: (0.3, 4.0),
+    LawKind.GENERALIZED_PARETO: (-1.0, 1.0), LawKind.MARCHENKO_PASTUR: (0.2, 3.0),
+    LawKind.TRIANGULAR_PROCESS: (0.2, 3.0),
+}
+_WINDOW_CASES_PER_KIND = 273  # 3003 cases over the 11 kinds
+
+
+def _window_cases(kind):
+    rng = np.random.default_rng([17, list(LawKind).index(kind)])
+    for i in range(_WINDOW_CASES_PER_KIND):
+        shape = float(rng.uniform(*_WINDOW_SHAPES[kind])) if kind in _WINDOW_SHAPES else None
+        location, scale = 0.0, 1.0
+        if i % 2:
+            location, scale = float(rng.uniform(-5.0, 5.0)), float(rng.uniform(0.1, 5.0))
+        n, m = (int(math.exp(rng.uniform(math.log(3.0), math.log(3e6)))) for _ in range(2))
+        yield LawSpec(kind, shape, location, scale), n, m, float(rng.random())
+
+
+def _window_solves(spec, n, m, level):
+    # u_n, the law of the excess over it (alpha and two quantiles) and the
+    # lower endpoint of an iterate, on a fresh law so that no cache is shared
+    f = make_law(spec)
+    u = threshold_un(f, n)
+    out = [u, free_max_iterate(f, m).alpha]
+    if u < f.omega and f.tail(u) > 0.0:
+        excess = exceedance_cdf(f, u)
+        out += [excess.alpha, excess.quantile(level), excess.quantile(1.0 - 1e-4)]
+    return [_bits(x) for x in out]
+
+
+@pytest.mark.parametrize("kind", list(LawKind), ids=[k.value for k in LawKind])
+def test_windowed_solves_are_the_plain_bisection_bit_for_bit(kind, monkeypatch):
+    cases = list(_window_cases(kind))
+    got = [_window_solves(*case) for case in cases]
+    _unwindowed(monkeypatch)
+    expected = [_window_solves(*case) for case in cases]
+    for case, g, e in zip(cases, got, expected):
+        assert g == e, case
+
+
+def test_normal_excess_endpoint_lies_past_the_ulp_noise(monkeypatch):
+    u = 0.9509272897089629
+    excess = exceedance_cdf(StdNormalCdf(), u)
+    # the predicate holds just above half an ulp of u, fails from 1.5 to
+    # 4.5 ulps (ndtr is not monotone there), and holds again above: a
+    # window that ends at the first crossing would stop there
+    half = math.ulp(u) / 2
+    assert excess.value(math.nextafter(half, 1.0)) > 0.0
+    assert excess.value(2 * half) > 0.0
+    assert all(excess.value(k * half) == 0.0 for k in range(3, 10))
+    assert excess.alpha == 4.996003610813205e-16 == math.nextafter(9 * half, 1.0)
+    _unwindowed(monkeypatch)
+    assert exceedance_cdf(StdNormalCdf(), u).alpha == excess.alpha
+
+
+def _counted_calls(solve, monkeypatch):
+    calls = []
+    inner = cdf_module._monotone_inf
+
+    def counting(pred, *args):
+        return inner(lambda t: calls.append(t) or pred(t), *args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cdf_module, "_monotone_inf", counting)
+        return solve(), len(calls)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: threshold_un(StdNormalCdf(), 10_000),
+    lambda: free_max_iterate(rescale(ParetoCdf(2.0), 0.5, -1.0), 1000).alpha,
+    lambda: exceedance_cdf(StdNormalCdf(), 2.0).alpha,
+    lambda: exceedance_cdf(GumbelCdf(), 1.0).quantile(0.5),
+], ids=["normal_un", "affine_pareto_iterate_alpha", "normal_excess_alpha", "gumbel_excess_median"])
+def test_windowed_solves_make_fewer_predicate_calls(solve, monkeypatch):
+    got, windowed = _counted_calls(solve, monkeypatch)
+    _unwindowed(monkeypatch)
+    expected, plain = _counted_calls(solve, monkeypatch)
+    assert _bits(got) == _bits(expected)
+    assert windowed < plain
+
+
+def test_a_window_is_taken_only_where_both_ends_verify():
+    calls = []
+
+    def pred(t):
+        calls.append(t)
+        # flickers inside (0.29, 0.31): a window about it takes the same path
+        t = np.asarray(t)
+        return (t >= 0.3) ^ ((t > 0.29) & (t < 0.31) & (t * 1e9 % 2 < 1))
+
+    def solve(windows):
+        calls.clear()
+        return _bits(cdf_module._monotone_inf(pred, 0.0, 1.0, windows))
+
+    expected = solve(())
+    plain = len(calls)
+    # after pred(hi) and pred(lo): the first window fails at both ends, the
+    # second at its lower end, and the third verifies
+    assert solve([(0.1, 0.2), (0.5, 0.6), (0.29, 0.31), (0.0, 1.0)]) == expected
+    assert calls[:7] == [1.0, 0.0, 0.1, 0.2, 0.5, 0.29, 0.31]
+    # a window is cut to the bracket, whose ends are known
+    assert solve([(-5.0, 0.31)]) == expected
+    assert calls[:3] == [1.0, 0.0, 0.31]
+    # a window that verifies nowhere leaves the plain bisection
+    assert solve([(0.4, 0.5)]) == expected
+    assert len(calls) == plain + 1
 
 
 # ----------------------------------------------------------------------
