@@ -119,10 +119,11 @@ def norming_constants(f: Cdf, n: int, kind: LawKind) -> NormingConstants:
     if n < 2:
         raise CdfError("norming constants need n >= 2")
     kind = LawKind(kind)
-    u_n = threshold_un(f, n)
     if kind is LawKind.FREE_TYPE_I:
+        u_n = threshold_un(f, n)
         return NormingConstants(n, mean_excess(f, u_n), u_n, "TypeI_mean_excess")
     if kind is LawKind.FREE_TYPE_II:
+        u_n = threshold_un(f, n)
         if math.isfinite(f.omega):
             raise CdfError("Type II norming needs an unbounded upper tail")
         return NormingConstants(n, u_n, 0.0, "TypeII_un")

@@ -210,10 +210,13 @@ class Cdf:
     both: each defaults to one minus the other, so a subclass must
     override at least one.  Laws whose tail is the native quantity (the
     convolution and iteration formulas amplify it) implement ``_tail``.
-    ``_left``, ``_quantile``, ``_tail_gap`` and the affine-argument hooks
-    ``_value_affine``/``_tail_affine`` are overridden where a closed or
-    numerically stabler form exists.  Instances are immutable; all
-    operations are pure, so concurrent reads are safe.
+    ``_left``, ``_quantile`` and ``_tail_gap`` are overridden where a
+    closed or numerically stabler form exists.  The affine-argument hooks
+    ``_value_affine``/``_tail_affine`` give F(a x + b) and 1 - F(a x + b);
+    leaf laws fold the map into their formula where that avoids
+    cancellation, and ``AffineCdf`` (built by ``rescale``) is their only
+    caller.  Instances are immutable; all operations are pure, so
+    concurrent reads are safe.
     """
 
     def __init__(self):
@@ -324,12 +327,12 @@ class Cdf:
         return self._eval(self._left, x)
 
     def value_affine(self, a: float, b: float, x):
-        """F(a*x + b) with the affine map folded into the formula."""
-        return self._eval(lambda t: self._value_affine(a, b, t), x)
+        """F(a*x + b) for a > 0: the value of ``rescale(self, a, b)``."""
+        return rescale(self, a, b).value(x)
 
     def tail_affine(self, a: float, b: float, x):
-        """1 - F(a*x + b), cancellation-free for laws that support it."""
-        return self._eval(lambda t: self._tail_affine(a, b, t), x)
+        """1 - F(a*x + b) for a > 0: the tail of ``rescale(self, a, b)``."""
+        return rescale(self, a, b).tail(x)
 
     def tail_gap(self, h):
         """Tail at omega - h for a finite upper endpoint, evaluated stably."""
@@ -473,7 +476,8 @@ def empirical_cdf(samples: Iterable[float]) -> SteppedCdf:
 # derived CDFs: the extremal convolution calculus
 # ----------------------------------------------------------------------
 class AffineCdf(Cdf):
-    """x -> F(a*x + b) for a > 0; affine maps compose symbolically."""
+    """x -> F(a*x + b) for a > 0, built by ``rescale``; the one caller of
+    the parent's affine hooks."""
 
     def __init__(self, parent: Cdf, a: float, b: float):
         super().__init__()
@@ -493,12 +497,6 @@ class AffineCdf(Cdf):
 
     def _left(self, x):
         return self.parent._left(self.a * x + self.b)
-
-    def _value_affine(self, a, b, x):
-        return self.parent._value_affine(self.a * a, self.a * b + self.b, x)
-
-    def _tail_affine(self, a, b, x):
-        return self.parent._tail_affine(self.a * a, self.a * b + self.b, x)
 
     def _tail_gap(self, h):
         return self.parent._tail_gap(self.a * h)
@@ -532,12 +530,6 @@ class FreeMaxPowerCdf(Cdf):
     def _left(self, x):
         return np.clip(1.0 - np.minimum(self.s * (1.0 - self.parent._left(x)), 1.0), 0.0, 1.0)
 
-    def _tail_affine(self, a, b, x):
-        return np.minimum(self.s * self.parent._tail_affine(a, b, x), 1.0)
-
-    def _value_affine(self, a, b, x):
-        return 1.0 - self._tail_affine(a, b, x)
-
     def _tail_gap(self, h):
         return np.minimum(self.s * self.parent._tail_gap(h), 1.0)
 
@@ -564,12 +556,6 @@ class FreeMaxConvCdf(Cdf):
     def _left(self, x):
         return np.clip(self.f._left(x) + self.g._left(x) - 1.0, 0.0, 1.0)
 
-    def _tail_affine(self, a, b, x):
-        return np.minimum(self.f._tail_affine(a, b, x) + self.g._tail_affine(a, b, x), 1.0)
-
-    def _value_affine(self, a, b, x):
-        return 1.0 - self._tail_affine(a, b, x)
-
 
 class FreeMinConvCdf(Cdf):
     """Lower extremal free convolution: K = min(F + G, 1)."""
@@ -591,11 +577,6 @@ class FreeMinConvCdf(Cdf):
 
     def _left(self, x):
         return np.minimum(self.f._left(x) + self.g._left(x), 1.0)
-
-    def _value_affine(self, a, b, x):
-        return np.minimum(
-            self.f._value_affine(a, b, x) + self.g._value_affine(a, b, x), 1.0
-        )
 
 
 class ClassicalProductCdf(Cdf):
@@ -713,7 +694,22 @@ def free_max_power(f: Cdf, s: float) -> Cdf:
 
 
 def rescale(f: Cdf, a: float, b: float) -> Cdf:
-    """Inner affine reparametrization x -> F(a x + b), a > 0."""
+    """Inner affine reparametrization x -> F(a x + b), a > 0.
+
+    The map commutes with the pointwise operations, so it moves down the
+    lazy tree: a rescaled ``AffineCdf`` composes the two maps, a free max
+    power or extremal convolution is rebuilt over rescaled arguments, and
+    any other law is wrapped in ``AffineCdf``, whose parent evaluates the
+    map in its affine hooks.  Values and tails are thus each leaf's hook
+    at the composed map; endpoints and quantiles of a rebuilt law are
+    those of the rebuilt law, solved when first read.
+    """
+    if isinstance(f, AffineCdf):
+        return AffineCdf(f.parent, f.a * a, f.a * b + f.b)
+    if isinstance(f, FreeMaxPowerCdf):
+        return FreeMaxPowerCdf(rescale(f.parent, a, b), f.s)
+    if isinstance(f, (FreeMaxConvCdf, FreeMinConvCdf)):
+        return type(f)(rescale(f.f, a, b), rescale(f.g, a, b))
     return AffineCdf(f, a, b)
 
 

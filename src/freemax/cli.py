@@ -45,7 +45,7 @@ from .spectral import (
     HermitianMatrix,
     empirical_spectral_cdf,
     general_position_check,
-    haar_conjugate,
+    haar_orthogonal,
     haar_projection,
     logexp_approx,
     pnorm_approx_shifted,
@@ -290,11 +290,11 @@ def _spectral_general_position(args) -> list[dict]:
 
 
 def _seeded_pair(n: int, seed: int, trial: int, stream: int, spectrum=lambda u: u):
-    """Two Haar rotations of diagonal matrices whose spectra are ``spectrum``
+    """Two matrices with Haar eigenvectors whose spectra are ``spectrum``
     of n uniform draws each, sorted."""
     rng = rng_from_seed(seed, trial, stream)
     spectra = [np.sort(spectrum(rng.random(n))) for _ in range(2)]
-    return [haar_conjugate(HermitianMatrix(np.diag(values)), seed, trial, side)
+    return [HermitianMatrix.from_spectrum(values, haar_orthogonal(n, seed, trial, side))
             for side, values in enumerate(spectra)]
 
 

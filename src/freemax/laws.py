@@ -222,9 +222,6 @@ class BetaPowerCdf(Cdf):
     def _tail(self, x):
         return np.clip(np.abs(np.minimum(x, 0.0)) ** self.shape, 0.0, 1.0)
 
-    def _tail_gap(self, h):
-        return np.clip(np.maximum(h, 0.0) ** self.shape, 0.0, 1.0)
-
     def _quantile(self, p):
         return -((1.0 - p) ** (1.0 / self.shape))
 

@@ -15,6 +15,7 @@ from freemax.attraction import (
 )
 from freemax.cdf import CdfError, threshold_un
 from freemax.laws import (
+    BetaPowerCdf,
     ExponentialCdf,
     GpdCdf,
     LawKind,
@@ -104,6 +105,21 @@ def test_norming_exponential():
     assert c.a_n == pytest.approx(1.0, abs=1e-6)
     assert c.b_n == pytest.approx(math.log(10), rel=1e-9)
     assert c.recipe == "TypeI_mean_excess"
+
+
+@pytest.mark.parametrize(
+    "law",
+    [UniformCdf(), BetaPowerCdf(0.7), make_law(LawSpec(LawKind.UNIFORM, location=-0.3, scale=1.7))],
+)
+def test_type_iii_norming_solves_no_threshold(law, monkeypatch):
+    # the Type III pair comes from the endpoint gap alone
+    expected = [norming_constants(law, n, LawKind.FREE_TYPE_III) for n in (2, 10, 10**6)]
+
+    def refuse(f, n):
+        raise AssertionError("Type III norming solved u_n")
+
+    monkeypatch.setattr("freemax.attraction.threshold_un", refuse)
+    assert [norming_constants(law, n, LawKind.FREE_TYPE_III) for n in (2, 10, 10**6)] == expected
 
 
 def test_norming_type_iii_needs_finite_endpoint():

@@ -284,6 +284,103 @@ def test_rescale_rejects_nonpositive_scale():
         rescale(UniformCdf(), 0.0, 1.0)
 
 
+# leaves of the push-down tests: the folding leaves, a make_law shifted
+# Uniform (an AffineCdf), a law with the default hooks and one without
+# a _value
+PUSH_LEAVES = {
+    "uniform": UniformCdf(),
+    "shifted_uniform": make_law(LawSpec(LawKind.UNIFORM, location=-0.3, scale=1.7)),
+    "triangular": triangular_law_cdf(0.6),
+    "beta_power": BetaPowerCdf(2.0),
+    "exponential": ExponentialCdf(),
+}
+PUSH_MAPS = [(1.5, -0.25), (0.37, 0.8), (3.0, -1.0)]
+
+
+def _leaf_hooks(f, a, b):
+    """value, tail and left of x -> f(a x + b), written out from the leaf's
+    hooks at the composed map."""
+    if isinstance(f, cdf_module.AffineCdf):
+        f, a, b = f.parent, f.a * a, f.a * b + f.b
+    return (lambda x: f._value_affine(a, b, x), lambda x: f._tail_affine(a, b, x),
+            lambda x: f._left(a * x + b))
+
+
+def _push_points(*laws):
+    """HOOK_POINTS and the finite endpoints of ``laws`` with their neighbours."""
+    ends = [e for f in laws for e in (f.alpha, f.omega) if math.isfinite(e)]
+    near = [np.nextafter(e, d) for e in ends for d in (-math.inf, math.inf)]
+    return np.concatenate([HOOK_POINTS, ends, near])
+
+
+def _assert_bits(got, expected):
+    np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                  np.clip(expected, 0.0, 1.0).view(np.uint64))
+
+
+@pytest.mark.parametrize("a,b", PUSH_MAPS)
+@pytest.mark.parametrize("name", list(PUSH_LEAVES))
+def test_rescale_composes_an_affine_law_bit_for_bit(name, a, b):
+    f = rescale(PUSH_LEAVES[name], 1.25, 0.5)
+    g = rescale(f, a, b)
+    assert type(g) is cdf_module.AffineCdf and g.parent is f.parent
+    assert (g.a, g.b) == (f.a * a, f.a * b + f.b)
+    value, tail, left = _leaf_hooks(f, a, b)
+    with np.errstate(all="ignore"):
+        x = _push_points(g)
+        _assert_bits(g.value(x), value(x))
+        _assert_bits(g.tail(x), tail(x))
+        _assert_bits(g.left(x), left(x))
+
+
+@pytest.mark.parametrize("a,b", PUSH_MAPS)
+@pytest.mark.parametrize("name", list(PUSH_LEAVES))
+def test_rescale_rebuilds_a_power_bit_for_bit(name, a, b):
+    f, s = PUSH_LEAVES[name], 7.5
+    g = rescale(free_max_power(f, s), a, b)
+    assert type(g) is cdf_module.FreeMaxPowerCdf and g.s == s
+    assert type(g.parent) is cdf_module.AffineCdf
+    value, tail, left = _leaf_hooks(f, a, b)
+    with np.errstate(all="ignore"):
+        x = _push_points(g.parent)
+        _assert_bits(g.tail(x), np.minimum(s * tail(x), 1.0))
+        _assert_bits(g.value(x), 1.0 - np.minimum(s * tail(x), 1.0))
+        _assert_bits(g.left(x), 1.0 - np.minimum(s * (1.0 - left(x)), 1.0))
+
+
+@pytest.mark.parametrize("a,b", PUSH_MAPS)
+@pytest.mark.parametrize("first,second", [("uniform", "exponential"),
+                                          ("shifted_uniform", "beta_power"),
+                                          ("triangular", "shifted_uniform")])
+def test_rescale_rebuilds_the_convolutions_bit_for_bit(first, second, a, b):
+    f, g = PUSH_LEAVES[first], PUSH_LEAVES[second]
+    fv, ft, fl = _leaf_hooks(f, a, b)
+    gv, gt, gl = _leaf_hooks(g, a, b)
+    upper = rescale(free_max_conv(f, g), a, b)
+    lower = rescale(free_min_conv(f, g), a, b)
+    assert type(upper) is cdf_module.FreeMaxConvCdf
+    assert type(lower) is cdf_module.FreeMinConvCdf
+    with np.errstate(all="ignore"):
+        x = _push_points(upper.f, upper.g)
+        _assert_bits(upper.tail(x), np.minimum(ft(x) + gt(x), 1.0))
+        _assert_bits(upper.value(x), 1.0 - np.minimum(ft(x) + gt(x), 1.0))
+        _assert_bits(upper.left(x), fl(x) + gl(x) - 1.0)
+        _assert_bits(lower.value(x), np.minimum(fv(x) + gv(x), 1.0))
+        _assert_bits(lower.tail(x), 1.0 - np.minimum(fv(x) + gv(x), 1.0))
+        _assert_bits(lower.left(x), np.minimum(fl(x) + gl(x), 1.0))
+
+
+@pytest.mark.parametrize("a", [0.0, -0.0, -1.5, math.nan])
+def test_affine_evaluation_rejects_a_nonpositive_scale(a):
+    u = UniformCdf()
+    for f in (u, PUSH_LEAVES["shifted_uniform"], free_max_power(u, 3.0),
+              free_max_conv(u, ExponentialCdf()), free_min_conv(u, ExponentialCdf())):
+        with pytest.raises(CdfError):
+            f.value_affine(a, 0.5, 0.25)
+        with pytest.raises(CdfError):
+            f.tail_affine(a, 0.5, 0.25)
+
+
 def test_pareto_free_stability_fixed_point():
     alpha = 2.0
     f = ParetoCdf(alpha)

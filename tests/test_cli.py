@@ -128,6 +128,29 @@ def test_iterate_exactness_rows(capsys):
     assert all(r["sup_distance"] <= 1e-12 for r in rows)
 
 
+@pytest.mark.parametrize(
+    "law,kind,solves",
+    [('{"kind":"Uniform"}', "III", 0), ('{"kind":"FreeTypeII","shape":2}', "II", 4)],
+)
+def test_iterate_solves_one_threshold_per_order(law, kind, solves, monkeypatch, tmp_path):
+    # Type II solves u_n once per order; Type III needs no u_n, and the
+    # rescaled iterates leave their lower endpoints unsolved
+    import freemax.cdf as cdf_module
+
+    levels = []
+    solve = cdf_module.tail_quantile
+
+    def counting(f, q):
+        levels.append(q)
+        return solve(f, q)
+
+    monkeypatch.setattr(cdf_module, "tail_quantile", counting)
+    argv = ["iterate", "--law", law, "--type", kind, "--alpha", "2",
+            "--n", "2,10,1000,1000000", "--out", str(tmp_path / "rows.json")]
+    assert dispatch(argv) == 0
+    assert len(levels) == solves
+
+
 def test_stable_true_and_false(capsys):
     doc = run_json(capsys, ["stable", "--law", '{"kind":"FreeTypeI"}', "--k", "3"])
     assert doc["payload"]["stable"] is True
