@@ -21,6 +21,7 @@ from .cdf import (
     Cdf,
     CdfError,
     _monotone_inf,
+    _windows_about,
     comparison_grid,
     exceedance_cdf,
     free_max_iterate,
@@ -133,7 +134,8 @@ def norming_constants(f: Cdf, n: int, kind: LawKind) -> NormingConstants:
             raise CdfError("Type III norming requires a finite upper endpoint")
         # bisect in the endpoint gap h = omega - t: the direct difference
         # omega - u_n would cancel to absolute (not relative) precision
-        gap = _monotone_inf(lambda h: f.tail_gap(h) >= 1.0 / n, 0.0, 1.0)
+        gap = _monotone_inf(lambda h: f.tail_gap(h) >= 1.0 / n, 0.0, 1.0,
+                            _windows_about(omega - f._guess_quantile(1.0 - 1.0 / n)))
         return NormingConstants(n, gap, omega, "TypeIII_endpoint")
     raise CdfError(f"{kind.value} is not a free extreme-value type")
 

@@ -82,7 +82,7 @@ def _midpoint_tree(lo: float, hi: float) -> list[float]:
     return e
 
 
-def _monotone_inf(pred: Callable, lo: float, hi: float, windows=()) -> float:
+def _monotone_inf(pred: Callable, lo: float, hi: float, windows=(), key=None) -> float:
     """inf{x : pred(x)} for a monotone False->True predicate.
 
     ``lo``/``hi`` are hints; the bracket expands geometrically and is then
@@ -94,42 +94,47 @@ def _monotone_inf(pred: Callable, lo: float, hi: float, windows=()) -> float:
     step-by-step halving computes, and the walk stops where it would, so
     the result is the same double even where ``pred`` is not monotone.
 
-    ``windows`` are candidate pairs (a, b), cut to the bracket; the first
-    with ``pred(a)`` False and ``pred(b)`` True is taken.  A halving whose
-    midpoint is <= a or >= b is then decided by that comparison without a
-    call, and a round runs only when the next midpoint lies inside (a, b).
-    The midpoints and the stopping rule are unchanged, so the result is
-    the double of the plain bisection wherever ``pred`` is monotone
-    outside the window.
+    ``windows`` are candidate pairs (a, b), checked before the bracket;
+    the first with ``pred(a)`` False and ``pred(b)`` True is taken.  A
+    bracket end or a halving midpoint <= a or >= b is then decided by that
+    comparison without a call, and a round runs only when the next
+    midpoint lies inside (a, b).  ``key`` is a float map such that equal
+    keys give equal predicates: a midpoint with the key of ``lo`` or of
+    ``hi`` takes that end's answer without a call.  The points and the
+    stopping rule are unchanged, so the result is the double of the plain
+    bisection wherever ``pred`` is monotone outside the window.
     """
     lo = float(lo)
     hi = float(hi)
     if not lo < hi:
         lo, hi = lo - 1.0, lo + 1.0
+    a, b = -math.inf, math.inf
+    for wa, wb in windows:
+        if wa < wb and not pred(wa) and pred(wb):
+            a, b = wa, wb
+            break
+
+    def end_holds(t):
+        return t >= b or (not t <= a and pred(t))
+
     step = max(1.0, 0.25 * (hi - lo))
-    while not pred(hi):
+    while not end_holds(hi):
         if hi >= _HUGE:
             return math.inf
         hi = min(hi + step, _HUGE)
         step *= 4.0
     step = max(1.0, 0.25 * abs(hi - lo))
-    while pred(lo):
+    while end_holds(lo):
         if lo <= -_HUGE:
             return -math.inf
         lo = max(lo - step, -_HUGE)
         step *= 4.0
-    a, b = -math.inf, math.inf
-    for wa, wb in windows:
-        wa, wb = max(wa, lo), min(wb, hi)
-        if wa < wb and (wa == lo or not pred(wa)) and (wb == hi or pred(wb)):
-            a, b = wa, wb
-            break
     steps = 600
     while steps and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if mid <= a:
+        if mid <= a or (key and key(mid) == key(lo)):
             lo, steps = mid, steps - 1
             continue
-        if mid >= b:
+        if mid >= b or (key and key(mid) == key(hi)):
             hi, steps = mid, steps - 1
             continue
         e = _midpoint_tree(lo, hi)
@@ -256,12 +261,15 @@ class Cdf:
         with np.errstate(all="ignore"):
             return float(self._quantile(np.array([p], dtype=float))[0])
 
+    #: ``_monotone_inf``'s ``key`` for this law's predicates, or None
+    _bisection_key = None
+
     def _quantile(self, p: np.ndarray) -> np.ndarray:
         """inf{t : value(t) >= p} by bisection.  One level in (0, 1) takes
         ``_monotone_inf``'s rounds of array evaluations, in windows about
-        ``_guess_quantile``; several levels are bisected together by
-        ``_monotone_inf_each``.  Both give each level the double of a
-        step-by-step scalar bisection."""
+        ``_guess_quantile`` and with ``_bisection_key``; several levels are
+        bisected together by ``_monotone_inf_each``.  Both give each level
+        the double of a step-by-step scalar bisection."""
         lo = self.alpha if math.isfinite(self.alpha) else -1.0
         hi = self.omega if math.isfinite(self.omega) else 1.0
         out = np.where(p <= 0.0, -math.inf, self.omega)
@@ -270,7 +278,8 @@ class Cdf:
         if levels.size == 1:
             level = levels[0]
             out[inner] = _monotone_inf(lambda t: self.value(t) >= level, lo, hi,
-                                       _windows_about(self._guess_quantile(level)))
+                                       _windows_about(self._guess_quantile(level)),
+                                       self._bisection_key)
         elif levels.size:
             out[inner] = _monotone_inf_each(lambda i, t: self.value(t) >= levels[i], lo, hi, levels.size)
         return out
@@ -303,13 +312,13 @@ class Cdf:
     # ------------------------------------------------------------------
     def _eval(self, fn, x):
         """``fn`` clipped to [0, 1].  A scalar skips the array wrapping and
-        is clipped by comparisons, which keep NaN and -0.0 as np.clip does."""
+        is clipped by comparisons, which keep NaN and -0.0 as ``clip`` does."""
         if isinstance(x, (float, int)):
             v = float(fn(np.array([x], dtype=float))[0])
             return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
         arr = _as_float_array(x)
         scalar = arr.ndim == 0
-        out = np.clip(fn(np.atleast_1d(arr)), 0.0, 1.0)
+        out = fn(np.atleast_1d(arr)).clip(0.0, 1.0)
         return float(out[0]) if scalar else out.reshape(arr.shape)
 
     def value(self, x):
@@ -524,6 +533,10 @@ class FreeMaxPowerCdf(Cdf):
             return self.parent.alpha
         return tail_quantile(self.parent, 1.0 / self.s)
 
+    def _guess_quantile(self, p):
+        # the power reaches p where the parent's tail falls to (1 - p)/s
+        return self.parent._guess_quantile(1.0 - (1.0 - float(p)) / self.s)
+
     def _tail(self, x):
         return np.minimum(self.s * self.parent._tail(x), 1.0)
 
@@ -642,7 +655,12 @@ class ExceedanceCdf(Cdf):
         u = self.u
         below = math.nextafter(0.5 * (math.nextafter(u, math.inf) - u), 0.0)
         windows = [(below, abs(u) * r) for r in _WINDOW_SCALES[1:]]
-        return _monotone_inf(lambda t: self.value(t) > 0.0, 0.0, 1.0, windows)
+        return _monotone_inf(lambda t: self.value(t) > 0.0, 0.0, 1.0, windows,
+                             self._bisection_key)
+
+    def _bisection_key(self, t):
+        # the law reads t only through fl(u + t), and is 0 below t = 0
+        return self.u + t if t >= 0.0 else -math.inf
 
     def _guess_quantile(self, p):
         # the excess law reaches p where the parent's tail falls to (1 - p) Fbar(u)

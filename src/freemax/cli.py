@@ -178,13 +178,20 @@ def _report(payload: dict, args_dict: dict, seed: Optional[int] = None) -> dict:
     return {"metadata": meta, "payload": payload}
 
 
-def _write_output(document: dict, out: Optional[str]) -> None:
-    text = json.dumps(document, sort_keys=True, indent=2) + "\n"
+def _write_text(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _write_output(document: dict, out: Optional[str]) -> None:
+    _write_text(json.dumps(document, sort_keys=True, indent=2) + "\n", out)
+
+
+#: one ``{"x": x, "F": v}`` row of the JSON table as ``indent=2`` lays it out
+_TABLE_ROW = '      {{\n        "F": {},\n        "x": {}\n      }}'
 
 
 def _write_table(f: Cdf, grid: np.ndarray, out: Optional[str], fmt: str, args_dict: dict) -> None:
@@ -194,8 +201,14 @@ def _write_table(f: Cdf, grid: np.ndarray, out: Optional[str], fmt: str, args_di
         else:
             write_cdf_table(f, grid, out)
         return
-    payload = {"table": [{"x": float(x), "F": float(v)} for x, v in zip(grid, np.asarray(f.value(grid)))]}
-    _write_output(_report(payload, args_dict), out)
+    # the cells through json's C encoder (the float reprs, NaN and Infinity
+    # that json.dumps gives), spliced into the dumped skeleton: the same
+    # bytes as dumping the whole table with indent=2
+    values, xs = (json.dumps(np.asarray(a, dtype=float).tolist())[1:-1].split(", ")
+                  for a in (f.value(grid), grid))
+    rows = ",\n".join(_TABLE_ROW.format(v, x) for v, x in zip(values, xs))
+    skeleton = json.dumps(_report({"table": []}, args_dict), sort_keys=True, indent=2)
+    _write_text(skeleton.replace('"table": []', f'"table": [\n{rows}\n    ]') + "\n", out)
 
 
 # ----------------------------------------------------------------------

@@ -436,6 +436,10 @@ class FcCdf(Cdf):
             self.parent.quantile(0.75) + 1.0,
         )
 
+    def _guess_quantile(self, p):
+        # (1 + c ln F)_+ reaches p where F reaches exp((p - 1)/c)
+        return self.parent._guess_quantile(math.exp((float(p) - 1.0) / self.c))
+
     def _image_tail(self, parent_tail):
         # 1 - (1 + c ln F)_+ = min(c * (-ln F), 1), through the parent tail
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freemax.attraction as attraction_module
 import freemax.cdf as cdf_module
+import freemax.laws as laws_module
 import freemax.cli  # noqa: F401  (loads every module, so every Cdf subclass exists)
 from freemax.attraction import norming_constants
 from freemax.cdf import (
@@ -789,10 +791,11 @@ def test_convolution_endpoint_takes_each_median_once(conv, endpoint):
 # bisection windows from closed-form guesses
 # ----------------------------------------------------------------------
 def _unwindowed(monkeypatch):
-    # every solve in cdf.py takes the plain bisection: the windows are dropped
+    # every solve takes the plain bisection: windows and keys are dropped
     plain = cdf_module._monotone_inf
-    monkeypatch.setattr(cdf_module, "_monotone_inf",
-                        lambda pred, lo, hi, windows=(): plain(pred, lo, hi))
+    for module in (cdf_module, attraction_module, laws_module):
+        monkeypatch.setattr(module, "_monotone_inf",
+                            lambda pred, lo, hi, *hints: plain(pred, lo, hi))
 
 
 _WINDOW_SHAPES = {
@@ -816,14 +819,19 @@ def _window_cases(kind):
 
 
 def _window_solves(spec, n, m, level):
-    # u_n, the law of the excess over it (alpha and two quantiles) and the
-    # lower endpoint of an iterate, on a fresh law so that no cache is shared
+    # u_n, the law of the excess over it (alpha and two quantiles), the
+    # lower endpoint and a quantile of an iterate, a quantile of an f_c
+    # image and, for a finite upper endpoint, the Type III gap, on a fresh
+    # law so that no cache is shared
     f = make_law(spec)
     u = threshold_un(f, n)
-    out = [u, free_max_iterate(f, m).alpha]
+    iterate = free_max_iterate(f, m)
+    out = [u, iterate.alpha, iterate.quantile(level), f_c_map(f, 0.5 + level).quantile(level)]
     if u < f.omega and f.tail(u) > 0.0:
         excess = exceedance_cdf(f, u)
         out += [excess.alpha, excess.quantile(level), excess.quantile(1.0 - 1e-4)]
+    if math.isfinite(f.omega):
+        out.append(norming_constants(f, n, LawKind.FREE_TYPE_III).a_n)
     return [_bits(x) for x in out]
 
 
@@ -878,6 +886,38 @@ def test_windowed_solves_make_fewer_predicate_calls(solve, monkeypatch):
     assert windowed < plain
 
 
+def _scalar_calls(calls):
+    # the window and bracket checks; the halving rounds pass arrays
+    return [t for t in calls if isinstance(t, float)]
+
+
+def test_the_excess_endpoint_takes_few_calls_with_the_rounding_key(monkeypatch):
+    # fl(u + t) takes two values across the last 52 halvings, so the key
+    # decides them: two window ends and a few rounds remain (19 calls with
+    # the windows alone); the double is checked against the plain
+    # bisection in test_windowed_solves_make_fewer_predicate_calls
+    _, calls = _counted_calls(lambda: exceedance_cdf(StdNormalCdf(), 2.0).alpha, monkeypatch)
+    assert calls <= 9
+
+
+@pytest.mark.parametrize("c,lo,hi", [(0.7, 0.0, 1e-15), (2.0, -1e-15, 1e-14), (-3.3, 0.1, 0.7)])
+def test_a_rounding_key_decides_halvings_as_the_predicate_would(c, lo, hi):
+    # decided by the last bit of fl(c + t): not monotone, but equal keys
+    # give equal answers, so the keyed bisection stays the scalar loop
+    calls = []
+
+    def pred(t):
+        calls.append(t)
+        return _last_bit_pred(c + np.asarray(t, dtype=float))
+
+    expected = _scalar_monotone_inf(pred, lo, hi)
+    plain = len(calls)
+    calls.clear()
+    got = cdf_module._monotone_inf(pred, lo, hi, key=lambda t: c + t)
+    assert _bits(got) == _bits(expected)
+    assert len(calls) < plain
+
+
 def test_a_window_is_taken_only_where_both_ends_verify():
     calls = []
 
@@ -893,13 +933,14 @@ def test_a_window_is_taken_only_where_both_ends_verify():
 
     expected = solve(())
     plain = len(calls)
-    # after pred(hi) and pred(lo): the first window fails at both ends, the
-    # second at its lower end, and the third verifies
+    # windows come first: the first fails at both ends, the second at its
+    # lower end, and the third verifies; the bracket ends 1.0 and 0.0 lie
+    # outside it and are decided without a call
     assert solve([(0.1, 0.2), (0.5, 0.6), (0.29, 0.31), (0.0, 1.0)]) == expected
-    assert calls[:7] == [1.0, 0.0, 0.1, 0.2, 0.5, 0.29, 0.31]
-    # a window is cut to the bracket, whose ends are known
+    assert _scalar_calls(calls) == [0.1, 0.2, 0.5, 0.29, 0.31]
+    # a bracket end inside the window is still checked
     assert solve([(-5.0, 0.31)]) == expected
-    assert calls[:3] == [1.0, 0.0, 0.31]
+    assert _scalar_calls(calls) == [-5.0, 0.31, 0.0]
     # a window that verifies nowhere leaves the plain bisection
     assert solve([(0.4, 0.5)]) == expected
     assert len(calls) == plain + 1

@@ -352,6 +352,21 @@ def test_stdout_table_is_the_out_file_bytes(tmp_path):
     assert shown.stdout.startswith(b"x,F\r\n0.0,0.5\r\n")
 
 
+def test_json_table_is_the_indented_dump_bit_for_bit(capsys):
+    from freemax.cdf import FunctionCdf
+    from freemax.cli import _report, _write_table
+
+    # NaN, a signed zero and 1.0 among the cells, infinities among the points
+    law = FunctionCdf(lambda x: np.where(x > 1.0, np.nan, np.where(x < 0.0, -0.0, x)))
+    grid = np.array([-math.inf, -1e300, -0.0, 1e-300, 0.1, 1.0 / 3.0, 1.0, 2.0, math.inf])
+    args = {"law": "table", "format": "json"}
+    _write_table(law, grid, None, "json", args)
+    table = [{"x": float(x), "F": float(v)} for x, v in zip(grid, law.value(grid))]
+    expected = json.dumps(_report({"table": table}, args), sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == expected
+    assert '"F": NaN' in expected and '"F": -0.0' in expected and '"x": -Infinity' in expected
+
+
 def _scipy_modules_after(code, cwd):
     """Run ``code`` in a fresh interpreter; return its printed lists of loaded scipy modules."""
     src = os.path.dirname(os.path.dirname(freemax.__file__))
