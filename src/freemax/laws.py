@@ -24,6 +24,7 @@ from .cdf import (
     CdfError,
     FunctionCdf,
     _monotone_inf,
+    _windows_about,
     comparison_grid,
     free_max_iterate,
     rescale,
@@ -434,6 +435,7 @@ class FcCdf(Cdf):
             lambda t: self.parent.value(t) > cut,
             self.parent.quantile(0.25) - 1.0,
             self.parent.quantile(0.75) + 1.0,
+            _windows_about(self.parent._guess_quantile(cut)),
         )
 
     def _guess_quantile(self, p):

@@ -117,8 +117,9 @@ class Partition:
 
 def _atom_block(index: int, count: int, n: int, seed: int) -> np.ndarray:
     """The atom's dedicated Gaussian block, variance 1/N, drawn by split seed."""
-    rng = rng_from_seed(seed, index)
-    return rng.standard_normal((n, count)) / math.sqrt(n)
+    block = rng_from_seed(seed, index).standard_normal((n, count))
+    block /= math.sqrt(n)  # in place: the bits of ``/``, without a second N x count array
+    return block
 
 
 def _subset_blocks(partition: Partition, subset: Iterable[str], n: int, seed: int) -> dict:
@@ -146,7 +147,7 @@ def sample_free_poisson_matrix(
     """
     total = np.zeros((n, n))
     for block in _subset_blocks(partition, subset, n, seed).values():
-        total = total + block @ block.T
+        total += block @ block.T
     return HermitianMatrix(total)
 
 
@@ -364,7 +365,7 @@ def _gram_eigenvalues(blocks: list) -> np.ndarray:
     """
     if not blocks:
         return np.zeros(0)
-    gamma = np.hstack(blocks)
+    gamma = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
     n, c = gamma.shape
     gram = gamma.T @ gamma if c < n else gamma @ gamma.T
     return np.linalg.eigvalsh(gram)
@@ -386,7 +387,9 @@ def extremal_process_report(
     the mean KS distance of the nonzero spectrum to the conditional free
     Poisson law.  ``_range_mask`` counts every rank: the subset's from its
     Wishart eigenvalues, the join's from the eigenvalues of the sum of the
-    atoms' range projections (each the block's left singular vectors).
+    atoms' range projections.  Each atom's basis is the reduced Householder
+    Q of its block, all min(N, columns) columns: orthonormal by construction,
+    and a Gaussian block has full rank with probability 1.
     """
     if trials < 1:
         raise CdfError("at least one trial required")
@@ -399,10 +402,7 @@ def extremal_process_report(
     for t in range(trials):
         blocks = _subset_blocks(partition, named, n, derive_seed(seed, t))
         if t == 0:
-            bases = {}
-            for atom in in_joins & blocks.keys():
-                u, sv, _ = np.linalg.svd(blocks[atom], full_matrices=False)
-                bases[atom] = u[:, _range_mask(sv * sv)]
+            bases = {atom: np.linalg.qr(blocks[atom])[0] for atom in in_joins & blocks.keys()}
         for i, subset in enumerate(canonical):
             lam = _gram_eigenvalues([blocks[a] for a in subset if a in blocks])
             spectra[i].append(lam[_range_mask(lam)])

@@ -820,13 +820,14 @@ def _window_cases(kind):
 
 def _window_solves(spec, n, m, level):
     # u_n, the law of the excess over it (alpha and two quantiles), the
-    # lower endpoint and a quantile of an iterate, a quantile of an f_c
-    # image and, for a finite upper endpoint, the Type III gap, on a fresh
-    # law so that no cache is shared
+    # lower endpoint and a quantile of an iterate, the lower endpoint and a
+    # quantile of an f_c image and, for a finite upper endpoint, the Type
+    # III gap, on a fresh law so that no cache is shared
     f = make_law(spec)
     u = threshold_un(f, n)
     iterate = free_max_iterate(f, m)
-    out = [u, iterate.alpha, iterate.quantile(level), f_c_map(f, 0.5 + level).quantile(level)]
+    out = [u, iterate.alpha, iterate.quantile(level), f_c_map(f, 0.5 + level).alpha,
+           f_c_map(f, 0.5 + level).quantile(level)]
     if u < f.omega and f.tail(u) > 0.0:
         excess = exceedance_cdf(f, u)
         out += [excess.alpha, excess.quantile(level), excess.quantile(1.0 - 1e-4)]
@@ -868,7 +869,8 @@ def _counted_calls(solve, monkeypatch):
         return inner(lambda t: calls.append(t) or pred(t), *args)
 
     with monkeypatch.context() as patched:
-        patched.setattr(cdf_module, "_monotone_inf", counting)
+        for module in (cdf_module, laws_module):
+            patched.setattr(module, "_monotone_inf", counting)
         return solve(), len(calls)
 
 
@@ -877,7 +879,9 @@ def _counted_calls(solve, monkeypatch):
     lambda: free_max_iterate(rescale(ParetoCdf(2.0), 0.5, -1.0), 1000).alpha,
     lambda: exceedance_cdf(StdNormalCdf(), 2.0).alpha,
     lambda: exceedance_cdf(GumbelCdf(), 1.0).quantile(0.5),
-], ids=["normal_un", "affine_pareto_iterate_alpha", "normal_excess_alpha", "gumbel_excess_median"])
+    lambda: f_c_map(GumbelCdf(), 2.0).alpha,
+], ids=["normal_un", "affine_pareto_iterate_alpha", "normal_excess_alpha", "gumbel_excess_median",
+        "gumbel_f_c_alpha"])
 def test_windowed_solves_make_fewer_predicate_calls(solve, monkeypatch):
     got, windowed = _counted_calls(solve, monkeypatch)
     _unwindowed(monkeypatch)

@@ -23,6 +23,7 @@ from freemax.spectral import (
     derive_seed,
     empirical_spectral_cdf,
     proj_join,
+    rng_from_seed,
     spectral_projection,
 )
 
@@ -335,6 +336,64 @@ def test_process_report_draws_each_atom_block_once_per_trial(monkeypatch):
     extremal_process_report(part, [["a"], ["b", "c"], ["a", "b", "c"]], 64, 2, 5)
     assert len(drawn) == 6  # three atoms, two trials
     assert len(set(drawn)) == 6
+
+
+def test_process_report_makes_no_svd_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report called numpy.linalg.svd")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    part = Partition.from_pairs([("a", 0.3), ("b", 0.45), ("z", 0.0), ("d", 1.2)])
+    report = extremal_process_report(part, [("a", "b"), ("a", "z"), ("b", "d")], 64, 2, 3)
+    assert all(r.join_additivity_ok for r in report.records)
+
+
+def test_atom_block_is_the_scaled_draw_bit_for_bit():
+    for index, count, n, seed in [(0, 3, 8, 1), (2, 40, 64, 7), (1, 300, 250, 11)]:
+        expected = rng_from_seed(seed, index).standard_normal((n, count)) / math.sqrt(n)
+        got = poisson._atom_block(index, count, n, seed)
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("count", [5, 64, 200])
+def test_gram_eigenvalues_of_a_lone_block_are_those_of_its_copy(count):
+    block = poisson._atom_block(0, count, 64, 5)
+    gamma = np.hstack([block])
+    gram = gamma.T @ gamma if count < 64 else gamma @ gamma.T
+    assert poisson._gram_eigenvalues([block]).tobytes() == np.linalg.eigvalsh(gram).tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 250])
+def test_join_basis_keeps_every_column_of_a_gaussian_block(n):
+    # the report's rank rule: the reduced Householder Q keeps min(N, c)
+    # orthonormal columns; the singular-value mask it replaced agrees on
+    # every shape but the square one, where it can drop a direction
+    for ratio in (0.05, 0.25, 0.5, 1.0, 1.5, 2.0):
+        count = round(ratio * n)
+        for seed in range(8):
+            block = poisson._atom_block(0, count, n, seed)
+            q = np.linalg.qr(block)[0]
+            assert q.shape == (n, min(n, count))
+            assert np.abs(q.T @ q - np.eye(min(n, count))).max() < 1e-13
+            sv = np.linalg.svd(block, compute_uv=False)
+            assert poisson._range_mask(sv * sv).sum() == min(n, count)
+
+
+@pytest.mark.parametrize("seed", [45, 81])
+def test_the_singular_value_mask_drops_a_direction_of_a_square_block(seed):
+    block = poisson._atom_block(0, 250, 250, seed)
+    sv = np.linalg.svd(block, compute_uv=False)
+    assert poisson._range_mask(sv * sv).sum() == 249
+    assert np.linalg.qr(block)[0].shape == (250, 250)
+
+
+def test_join_check_counts_the_full_range_of_a_square_block():
+    # one atom of mass 1 at N = 250: its Wishart count misses one direction
+    # (an eigenvalue below RANGE_TOL of the largest), the join keeps it
+    part = Partition.from_pairs([("a", 1.0), ("z", 0.0)])
+    record = extremal_process_report(part, [("a", "z")], 250, 1, 15).records[0]
+    assert record.tau_y == 0.996
+    assert record.join_additivity_ok is False
 
 
 def test_process_report_deterministic():
