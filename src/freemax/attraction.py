@@ -6,12 +6,13 @@ scale, Type III uses the gap to the finite endpoint, and Type I uses the
 mean excess function as the auxiliary scale.  This module builds those
 constants, measures convergence of normalized iterates on a grid, runs
 regular-variation diagnostics, and fits generalized Pareto laws to
-exceedance samples.  Only ``mean_excess`` (``quad``) and ``fit_gpd`` (the
-scalar optimiser) import scipy, each when it runs.
+exceedance samples.  Only ``mean_excess`` imports scipy (``quad``), when
+it runs: ``fit_gpd`` solves with private ports of scipy's scalar solvers.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -212,6 +213,136 @@ def rv_check(
 # ----------------------------------------------------------------------
 # generalized Pareto fitting (peaks over threshold)
 # ----------------------------------------------------------------------
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of ``f`` between ``xa`` and ``xb``, where ``f`` changes sign.
+
+    A line-for-line port of ``brentq`` from scipy 1.17.1
+    (``scipy/optimize/Zeros/brentq.c``; Brent 1973, *Algorithms for
+    Minimization Without Derivatives*, ch. 3-4) at scipy's defaults
+    xtol = 2e-12, rtol = 4 eps and 100 iterations, so it returns
+    ``scipy.optimize.brentq``'s double.  Raises ``CdfError`` where scipy
+    raises: when f(xa) and f(xb) have the same sign, or when the
+    iterations run out.
+    """
+    xtol, rtol, maxiter = 2e-12, 4 * sys.float_info.epsilon, 100
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):  # the C code's signbit tests, on nonzero doubles
+        raise CdfError("brentq: f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise CdfError(f"brentq did not converge in {maxiter} iterations")
+
+
+def _fminbound(f, x1: float, x2: float) -> float:
+    """Minimizer of ``f`` on [x1, x2], x1 <= x2 finite.
+
+    A port of ``_minimize_scalar_bounded`` from scipy 1.17.1
+    (``scipy/optimize/_optimize.py``: golden section with parabolic steps,
+    Brent 1973, ch. 5) at ``xatol`` = 1e-10 and at most 500 evaluations,
+    with scipy's sqrt(2.2e-16) relative tolerance, so it returns
+    ``minimize_scalar(f, bounds=(x1, x2), method="bounded").x``.  Like
+    scipy's result it is returned also when the evaluations run out.
+    """
+    xatol, maxfun = 1e-10, 500
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = float(x1), float(x2)
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    evals = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0 else xf - step
+        fu = f(x)
+        evals += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if evals >= maxfun:
+            break
+    return xf
+
+
 def fit_gpd(exceedances: Sequence[float]) -> GpdFit:
     """Maximum-likelihood GPD fit by a one-dimensional profile in theta = gamma/sigma.
 
@@ -230,10 +361,11 @@ def fit_gpd(exceedances: Sequence[float]) -> GpdFit:
     search between the neighbours of the best scan point, and the higher of
     the best scan point and the refined point is kept.  Against theta = 0
     (the exponential fit), log-likelihoods within 1e-9 (1 + |l|) of the
-    better one l are ties, broken toward the smaller |gamma|.
+    better one l are ties, broken toward the smaller |gamma|.  The root
+    finding and the bounded search are ``_brentq`` and ``_fminbound``, ports
+    of scipy's ``brentq`` and bounded ``minimize_scalar`` that return their
+    doubles without importing scipy.
     """
-    from scipy import optimize
-
     x = np.asarray(exceedances, dtype=float).ravel()
     if x.size < 20:
         raise CdfError("fit_gpd needs at least 20 exceedances")
@@ -249,6 +381,11 @@ def fit_gpd(exceedances: Sequence[float]) -> GpdFit:
     n = x.size
     x_max = float(np.max(x))
     ratio = x / x_max
+    # every evaluation works in this one array: with two fresh n-element
+    # temporaries a call, glibc's malloc gives their pages back to the
+    # system and faults them in again, which made a 3e4-sample fit 2.7
+    # times slower (a process that had imported scipy did not show it)
+    work = np.empty_like(ratio)
 
     def profile(w: float) -> tuple[float, float, float]:
         """(log-likelihood, gamma, sigma) at theta max x = expm1(w)."""
@@ -256,27 +393,28 @@ def fit_gpd(exceedances: Sequence[float]) -> GpdFit:
         if t == 0.0:
             sigma = float(np.mean(x))
             return -n * (math.log(sigma) + 1.0), 0.0, sigma
-        gamma = float(np.mean(np.log1p(t * ratio)))
+        gamma = float(np.mean(np.log1p(np.multiply(t, ratio, out=work), out=work)))
         sigma = gamma * x_max / t
         return -n * (math.log(sigma) + 1.0 + gamma), gamma, sigma
 
     w_lo = math.log1p(-1.0 / (1.0 + 1e-8))
     if profile(w_lo)[1] < -5.0:
-        w_lo = optimize.brentq(lambda w: profile(w)[1] + 5.0, w_lo, 0.0)
-    # gamma >= log1p(expm1(w) min ratio), which is 5 at the upper bracket;
-    # the cap keeps expm1(w) finite (it overflows near w = 709.8)
-    w_top = min(math.log1p(math.expm1(5.0) / float(np.min(ratio))), 700.0)
-    w_hi = optimize.brentq(lambda w: profile(w)[1] - 5.0, 0.0, w_top)
+        w_lo = _brentq(lambda w: profile(w)[1] + 5.0, w_lo, 0.0)
+    # gamma >= log1p(expm1(w) min ratio), which is 5 at the upper bracket
+    # unless the cap binds: it keeps expm1(w) finite (it overflows near
+    # w = 709.8), and gamma may then stay below 5 up to the bracket; a min
+    # ratio that underflows to 0 takes the cap
+    r_min = float(np.min(ratio))
+    w_hi = min(math.log1p(math.expm1(5.0) / r_min), 700.0) if r_min > 0.0 else 700.0
+    if profile(w_hi)[1] > 5.0:
+        w_hi = _brentq(lambda w: profile(w)[1] - 5.0, 0.0, w_hi)
 
     scan = np.linspace(w_lo, w_hi, 65)
-    best = int(np.argmax([profile(w)[0] for w in scan]))
-    res = optimize.minimize_scalar(
-        lambda w: -profile(w)[0],
-        bounds=(scan[max(best - 1, 0)], scan[min(best + 1, scan.size - 1)]),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    found = max(profile(scan[best]), profile(float(res.x)), key=lambda c: (c[0], -abs(c[1])))
+    scanned = [profile(w) for w in scan]
+    best = int(np.argmax([c[0] for c in scanned]))
+    w_best = _fminbound(lambda w: -profile(w)[0],
+                        scan[max(best - 1, 0)], scan[min(best + 1, scan.size - 1)])
+    found = max(scanned[best], profile(w_best), key=lambda c: (c[0], -abs(c[1])))
     candidates = [found, profile(0.0)]
     top = max(c[0] for c in candidates)
     tol = 1e-9 * (1.0 + abs(top))

@@ -154,13 +154,16 @@ def _monotone_inf(pred: Callable, lo: float, hi: float, windows=(), key=None) ->
 
 #: half-widths of the windows about a closed-form guess, relative to it
 _WINDOW_SCALES = (2.0**-40, 2.0**-30, 2.0**-20)
+#: the least scale the half-widths take: a guess of 0 still gets windows
+_WINDOW_FLOOR = 2.0**-10
 
 
 def _windows_about(guess: float) -> list:
     """``_monotone_inf`` windows centred on ``guess``, narrowest first."""
     if not math.isfinite(guess):
         return []
-    return [(guess - abs(guess) * r, guess + abs(guess) * r) for r in _WINDOW_SCALES]
+    scale = max(abs(guess), _WINDOW_FLOOR)
+    return [(guess - scale * r, guess + scale * r) for r in _WINDOW_SCALES]
 
 
 def _monotone_inf_each(pred, lo: float, hi: float, n: int) -> np.ndarray:

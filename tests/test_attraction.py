@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
+import freemax.attraction as attraction_module
 from freemax.attraction import (
     NormingConstants,
     balkema_de_haan_check,
@@ -345,6 +346,14 @@ def test_fit_gpd_brackets_a_sample_spanning_the_float_range():
     assert math.isfinite(fit.log_likelihood)
 
 
+def test_fit_gpd_brackets_a_sample_whose_min_ratio_underflows():
+    # min x / max x rounds to 0: the upper bracket takes the cap
+    sample = np.concatenate([np.full(30, 1e-320), np.linspace(1e300, 2e300, 30)])
+    fit = fit_gpd(sample)
+    assert fit.gamma_hat == pytest.approx(5.0)
+    assert math.isfinite(fit.log_likelihood)
+
+
 def test_fit_gpd_rejects_small_and_degenerate():
     with pytest.raises(CdfError):
         fit_gpd([1.0] * 10)
@@ -362,6 +371,92 @@ def test_fit_gpd_iterate_consistency():
     exceed = sample[sample > u] - u
     fit = fit_gpd(exceed)
     assert abs(fit.gamma_hat - 0.5) < 0.1
+
+
+# ----------------------------------------------------------------------
+# the private solvers of fit_gpd against scipy's
+# ----------------------------------------------------------------------
+def _oracle_samples(count):
+    # n log-uniform on [20, 3e4], gamma uniform on [-1.2, 1.2], a scale in
+    # [0.1, 10]; every fifth sample rounded to at most two decimals (ties)
+    for i in range(count):
+        rng = np.random.default_rng([21, i])
+        n = int(math.exp(rng.uniform(math.log(20.0), math.log(3e4))))
+        x = GpdCdf(float(rng.uniform(-1.2, 1.2))).sample(n, rng) * rng.uniform(0.1, 10.0)
+        if i % 5 == 0:
+            x = np.round(x, int(rng.integers(0, 3)))
+        yield x
+
+
+def _fit_outcome(x):
+    try:
+        return tuple(float(v).hex() for v in fit_gpd(x))
+    except CdfError as exc:
+        return str(exc)
+
+
+def test_fit_gpd_solvers_return_scipys_doubles(monkeypatch):
+    # each call fit_gpd makes goes to both the port and scipy, and the fit
+    # that runs on scipy's answers is the fit of the ports
+    port_brentq, port_fminbound = attraction_module._brentq, attraction_module._fminbound
+    calls = {"brentq": 0, "fminbound": 0}
+
+    def brentq(f, a, b):
+        expected = optimize.brentq(f, a, b)
+        assert port_brentq(f, a, b).hex() == expected.hex(), (a, b)
+        calls["brentq"] += 1
+        return expected
+
+    def fminbound(f, a, b):
+        expected = optimize.minimize_scalar(f, bounds=(a, b), method="bounded",
+                                            options={"xatol": 1e-10}).x
+        assert port_fminbound(f, a, b).hex() == float(expected).hex(), (a, b)
+        calls["fminbound"] += 1
+        return float(expected)
+
+    samples = list(_oracle_samples(240))
+    ported = [_fit_outcome(x) for x in samples]
+    monkeypatch.setattr(attraction_module, "_brentq", brentq)
+    monkeypatch.setattr(attraction_module, "_fminbound", fminbound)
+    assert [_fit_outcome(x) for x in samples] == ported
+    fits = sum(isinstance(o, tuple) for o in ported)
+    assert fits >= 200
+    assert calls["fminbound"] == fits
+    assert calls["brentq"] >= fits
+
+
+def test_brentq_port_raises_cdf_error_where_scipy_raises():
+    def same_sign(w):
+        return w * w + 1.0
+
+    def step(w):
+        return -1.0 if w < 0.3 else 1.0
+
+    with pytest.raises(ValueError, match="different signs"):
+        optimize.brentq(same_sign, -1.0, 1.0)
+    with pytest.raises(CdfError, match="different signs"):
+        attraction_module._brentq(same_sign, -1.0, 1.0)
+    # 100 iterations do not bisect (0, 1e300) down to 2e-12
+    with pytest.raises(RuntimeError, match="converge"):
+        optimize.brentq(step, 0.0, 1e300)
+    with pytest.raises(CdfError, match="converge"):
+        attraction_module._brentq(step, 0.0, 1e300)
+    assert attraction_module._brentq(step, 0.0, 1.0) == optimize.brentq(step, 0.0, 1.0)
+
+
+def test_fminbound_port_stops_at_500_evaluations_like_scipy():
+    evals = []
+
+    def rising(w):
+        evals.append(w)
+        return w
+
+    expected = optimize.minimize_scalar(rising, bounds=(0.0, 1e100), method="bounded",
+                                        options={"xatol": 1e-10})
+    assert expected.nfev == len(evals) == 500
+    evals.clear()
+    assert attraction_module._fminbound(rising, 0.0, 1e100) == expected.x
+    assert len(evals) == 500
 
 
 # ----------------------------------------------------------------------

@@ -880,8 +880,9 @@ def _counted_calls(solve, monkeypatch):
     lambda: exceedance_cdf(StdNormalCdf(), 2.0).alpha,
     lambda: exceedance_cdf(GumbelCdf(), 1.0).quantile(0.5),
     lambda: f_c_map(GumbelCdf(), 2.0).alpha,
+    lambda: f_c_map(GumbelCdf(), 1.0).alpha,  # the guess is 0: windows of absolute width
 ], ids=["normal_un", "affine_pareto_iterate_alpha", "normal_excess_alpha", "gumbel_excess_median",
-        "gumbel_f_c_alpha"])
+        "gumbel_f_c_alpha", "gumbel_f_c_alpha_zero_guess"])
 def test_windowed_solves_make_fewer_predicate_calls(solve, monkeypatch):
     got, windowed = _counted_calls(solve, monkeypatch)
     _unwindowed(monkeypatch)

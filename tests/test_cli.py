@@ -215,6 +215,16 @@ def test_pot_fit_from_samples(tmp_path, capsys):
     assert doc["payload"]["n_exceedances"] > 5000
 
 
+def test_pot_fits_a_sample_whose_capped_bracket_stays_below_gamma_five(tmp_path, capsys):
+    # the upper bracket is capped at w = 700, where gamma(w) is still about
+    # 0.7: the fit takes the cap as its end instead of an internal error
+    path = tmp_path / "tiny.txt"
+    path.write_text("1e-307\n" * 1000 + "1.0\n")
+    doc = run_json(capsys, ["pot", "--samples", str(path), "--u=0"])
+    assert doc["payload"]["n_exceedances"] == 1001
+    assert math.isfinite(doc["payload"]["gamma_hat"]) and doc["payload"]["gamma_hat"] <= 5.0
+
+
 def test_pot_law_check(capsys):
     doc = run_json(
         capsys,
@@ -387,6 +397,8 @@ def test_scipy_loads_only_where_its_functions_run(tmp_path):
     (tmp_path / "part.json").write_text(
         '{"atoms": [{"id": "a", "mass": 0.5}, {"id": "b", "mass": 1.0}]}'
     )
+    sample = np.random.default_rng(5).pareto(2.0, 200)
+    (tmp_path / "samples.txt").write_text("\n".join(repr(float(v)) for v in sample) + "\n")
     runs = [
         ["law", "--law", '{"kind":"Uniform"}', "--out", "u.csv"],
         ["law", "--law", '{"kind":"MarchenkoPastur"}', "--out", "mp.csv"],
@@ -394,15 +406,16 @@ def test_scipy_loads_only_where_its_functions_run(tmp_path):
          "--seed", "7", "--out", "s.json"],
         ["poisson", "--partition", "part.json", "--subsets", "a;a,b", "--N", "64",
          "--trials", "1", "--seed", "1", "--out", "p.json"],
+        ["pot", "--samples", "samples.txt", "--u", "0.1", "--out", "pot.json"],
         ["law", "--law", '{"kind":"StdNormal"}', "--grid=-1,1,11", "--out", "n.csv"],
     ]
     code = "from freemax.cli import dispatch\n" + "".join(
         f"assert dispatch({argv!r}) == 0\nSHOW\n" for argv in runs
     )
     seen = _scipy_modules_after(code, tmp_path)
-    assert seen[:4] == [[], [], [], []]
-    assert "scipy.special" in seen[4]
-    assert not [m for m in seen[4] if m.startswith(("scipy.integrate", "scipy.optimize"))]
+    assert seen[:5] == [[], [], [], [], []]
+    assert "scipy.special" in seen[5]
+    assert not [m for m in seen[5] if m.startswith(("scipy.integrate", "scipy.optimize"))]
 
 
 def test_unknown_subcommand_error(capsys):
