@@ -179,35 +179,29 @@ def rv_check(
 
     ``at_infinity`` compares Fbar(t x)/Fbar(t) with x^(-alpha) for t in
     ``scale_list``; ``at_endpoint`` compares Fbar(omega - x h)/Fbar(omega - h)
-    with x^alpha for h in ``scale_list`` (finite endpoint required).
+    with x^alpha for h in ``scale_list`` (finite endpoint required), through
+    ``tail_gap`` so that omega - x h never cancels.
     """
     if not (alpha > 0 and math.isfinite(alpha)):
         raise CdfError("regular variation exponent must be positive and finite")
     if not all(x > 0 and math.isfinite(x) for x in x_list):
         raise CdfError("regular variation test points must be positive and finite")
-    worst = 0.0
     if mode == "at_infinity":
-        for t in scale_list:
-            base = f.tail(t)
-            if not base > 0.0:
-                raise CdfError(f"tail vanishes at scale t={t}: beyond effective support")
-            for x in x_list:
-                ratio = f.tail(t * x) / base
-                worst = max(worst, abs(ratio - _rv_power(x, -alpha)))
-        return worst
-    if mode == "at_endpoint":
-        omega = f.omega
-        if not math.isfinite(omega):
+        tail_at, exponent, label = f.tail, -alpha, "scale t"
+    elif mode == "at_endpoint":
+        if not math.isfinite(f.omega):
             raise CdfError("at_endpoint mode requires a finite upper endpoint")
-        for h in scale_list:
-            base = f.tail(omega - h)
-            if not base > 0.0:
-                raise CdfError(f"tail vanishes at offset h={h}: beyond effective support")
-            for x in x_list:
-                ratio = f.tail(omega - x * h) / base
-                worst = max(worst, abs(ratio - _rv_power(x, alpha)))
-        return worst
-    raise CdfError(f"unknown regular-variation mode {mode!r}")
+        tail_at, exponent, label = f.tail_gap, alpha, "offset h"
+    else:
+        raise CdfError(f"unknown regular-variation mode {mode!r}")
+    worst = 0.0
+    for s in scale_list:
+        base = tail_at(s)
+        if not base > 0.0:
+            raise CdfError(f"tail vanishes at {label}={s}: beyond effective support")
+        for x in x_list:
+            worst = max(worst, abs(tail_at(s * x) / base - _rv_power(x, exponent)))
+    return worst
 
 
 # ----------------------------------------------------------------------

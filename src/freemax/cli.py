@@ -156,11 +156,8 @@ def _parse_list(text: str, element=int) -> list:
     return values
 
 
-def _free_kind(type_flag: str) -> LawKind:
-    mapping = {"I": LawKind.FREE_TYPE_I, "II": LawKind.FREE_TYPE_II, "III": LawKind.FREE_TYPE_III}
-    if type_flag not in mapping:
-        raise CliError(EXIT_USAGE, "--type must be one of I, II, III")
-    return mapping[type_flag]
+#: the ``--type`` choices of ``iterate`` and ``attract``
+_FREE_KINDS = {"I": LawKind.FREE_TYPE_I, "II": LawKind.FREE_TYPE_II, "III": LawKind.FREE_TYPE_III}
 
 
 def _report(payload: dict, args_dict: dict, seed: Optional[int] = None) -> dict:
@@ -220,20 +217,20 @@ def _cmd_law(args) -> None:
     _write_table(law, grid, args.out, args.format, vars(args))
 
 
+_CONV_OPS = {"free_max": free_max_conv, "free_min": free_min_conv, "classical": classical_max_conv}
+
+
 def _cmd_conv(args) -> None:
     f = _load_law(args.law, args.law_csv)
     g = _load_law(args.law2, args.law2_csv)
-    ops = {"free_max": free_max_conv, "free_min": free_min_conv, "classical": classical_max_conv}
-    if args.op not in ops:
-        raise CliError(EXIT_USAGE, "--op must be free_max, free_min or classical")
-    h = ops[args.op](f, g)
+    h = _CONV_OPS[args.op](f, g)
     grid = _parse_grid(args.grid, f, g, size=args.grid_size)
     _write_table(h, grid, args.out, args.format, vars(args))
 
 
 def _cmd_iterate(args) -> None:
     f = _load_law(args.law, args.law_csv)
-    kind = _free_kind(args.type)
+    kind = _FREE_KINDS[args.type]
     limit = make_law(LawSpec(kind, shape=args.alpha))
     constants = [norming_constants(f, n, kind) for n in _parse_list(args.n)]
     grid = _parse_grid(args.grid, limit, size=args.grid_size)
@@ -251,7 +248,7 @@ def _cmd_stable(args) -> None:
 
 def _cmd_attract(args) -> None:
     f = _load_law(args.law, args.law_csv)
-    kind = _free_kind(args.type)
+    kind = _FREE_KINDS[args.type]
     constants = [norming_constants(f, n, kind) for n in _parse_list(args.n)]
     payload: dict = {"constants": [dataclasses.asdict(c) for c in constants]}
     if kind is LawKind.FREE_TYPE_I:
@@ -339,16 +336,16 @@ def _spectral_approx(args, use_pnorm: bool) -> list[dict]:
     return records
 
 
+_EXPERIMENTS = {
+    "general_position": _spectral_general_position,
+    "conv_identity": _spectral_conv_identity,
+    "pnorm": lambda a: _spectral_approx(a, True),
+    "logexp": lambda a: _spectral_approx(a, False),
+}
+
+
 def _cmd_spectral(args) -> None:
-    experiments = {
-        "general_position": _spectral_general_position,
-        "conv_identity": _spectral_conv_identity,
-        "pnorm": lambda a: _spectral_approx(a, True),
-        "logexp": lambda a: _spectral_approx(a, False),
-    }
-    if args.experiment not in experiments:
-        raise CliError(EXIT_USAGE, f"unknown spectral experiment {args.experiment!r}")
-    records = experiments[args.experiment](args)
+    records = _EXPERIMENTS[args.experiment](args)
     _write_output(_report({"records": records}, vars(args), seed=args.seed), args.out)
 
 
@@ -394,10 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("conv", _cmd_conv, "convolve two laws", law, grid, fmt)
     p.add_argument("--law2", help="second law spec JSON")
     p.add_argument("--law2-csv", help="second CDF table CSV")
-    p.add_argument("--op", default="free_max", help="free_max | free_min | classical")
+    p.add_argument("--op", choices=_CONV_OPS, default="free_max")
 
     p = command("iterate", _cmd_iterate, "normalized iterate convergence report", law, grid)
-    p.add_argument("--type", required=True, help="target free type: I, II or III")
+    p.add_argument("--type", choices=_FREE_KINDS, required=True, help="target free type")
     p.add_argument("--alpha", type=_finite, help="target shape (types II/III)")
     p.add_argument("--n", required=True, help="comma-separated iterate orders")
 
@@ -406,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_finite, default=1e-9)
 
     p = command("attract", _cmd_attract, "norming constants and tail diagnostics", law)
-    p.add_argument("--type", required=True)
+    p.add_argument("--type", choices=_FREE_KINDS, required=True)
     p.add_argument("--alpha", type=_finite)
     p.add_argument("--n", required=True)
     p.add_argument("--rv-alpha", type=_finite, help="regular variation exponent to test")
@@ -420,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-list", help="thresholds for the limit check")
 
     p = command("spectral", _cmd_spectral, "seeded matrix experiments", trials)
-    p.add_argument("--experiment", required=True,
-                   help="general_position | conv_identity | pnorm | logexp")
+    p.add_argument("--experiment", choices=_EXPERIMENTS, required=True)
     p.add_argument("--N", type=_int_at_least(1), default=50)
     p.add_argument("--ranks", help="comma-separated ranks for general_position")
     p.add_argument("--p-list", default="16,256,4096")

@@ -46,7 +46,6 @@ __all__ = [
     "standard_cauchy",
     "log_perturbed_pareto",
     "UniformCdf",
-    "ExponentialCdf",
     "ParetoCdf",
     "BetaPowerCdf",
     "GpdCdf",
@@ -167,24 +166,6 @@ class UniformCdf(Cdf):
         return self.lo + p * self.width
 
 
-class ExponentialCdf(Cdf):
-    """Standard exponential: the canonical free Type I law."""
-
-    def __init__(self):
-        super().__init__()
-        self._alpha_cache = 0.0
-        self._omega_cache = math.inf
-
-    def _value(self, x):
-        return np.where(x <= 0.0, 0.0, -np.expm1(-np.maximum(x, 0.0)))
-
-    def _tail(self, x):
-        return np.where(x <= 0.0, 1.0, np.exp(-np.maximum(x, 0.0)))
-
-    def _quantile(self, p):
-        return -np.log1p(-p)
-
-
 class ParetoCdf(Cdf):
     """Pareto law 1 - x^(-alpha) on [1, inf): the canonical free Type II."""
 
@@ -228,7 +209,8 @@ class BetaPowerCdf(Cdf):
 
 
 class GpdCdf(Cdf):
-    """Standard generalized Pareto law with shape gamma (exponential at 0)."""
+    """Standard generalized Pareto law with shape gamma; at gamma = 0 the
+    standard exponential, which is the canonical free Type I law."""
 
     def __init__(self, gamma: float):
         super().__init__()
@@ -252,9 +234,9 @@ class GpdCdf(Cdf):
         return np.where(x <= 0.0, 0.0, -np.expm1(self._log_tail(x)))
 
     def _quantile(self, p):
-        if self.gamma == 0.0:
-            return -np.log1p(-p)
         with np.errstate(divide="ignore", over="ignore"):
+            if self.gamma == 0.0:
+                return -np.log1p(-p)
             return np.expm1(-self.gamma * np.log1p(-p)) / self.gamma
 
 
@@ -307,10 +289,8 @@ class WeibullCdf(Cdf):
         if not alpha > 0:
             raise CdfError("Weibull shape must be positive")
         self.shape = float(alpha)
+        self._alpha_cache = -math.inf
         self._omega_cache = 0.0
-
-    def _solve_alpha(self):
-        return -math.inf
 
     def _value(self, x):
         neg = np.minimum(x, 0.0)
@@ -379,7 +359,7 @@ def log_perturbed_pareto(alpha: float = 2.0) -> Cdf:
 
 
 _CANONICAL = {
-    LawKind.FREE_TYPE_I: lambda shape: ExponentialCdf(),
+    LawKind.FREE_TYPE_I: lambda shape: GpdCdf(0.0),
     LawKind.FREE_TYPE_II: lambda shape: ParetoCdf(shape),
     LawKind.FREE_TYPE_III: lambda shape: BetaPowerCdf(shape),
     LawKind.GENERALIZED_PARETO: lambda shape: GpdCdf(shape),
@@ -563,7 +543,7 @@ def law_catalog() -> dict[str, Cdf]:
         "weibull_2": WeibullCdf(2.0),
         "uniform": UniformCdf(),
         "std_normal": StdNormalCdf(),
-        "exponential": ExponentialCdf(),
+        "exponential": GpdCdf(0.0),
         "pareto_2": ParetoCdf(2.0),
         "gpd_half": GpdCdf(0.5),
         "cauchy": standard_cauchy(),

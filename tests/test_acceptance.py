@@ -29,8 +29,8 @@ from freemax.cdf import (
 )
 from freemax.laws import (
     BetaPowerCdf,
-    ExponentialCdf,
     FrechetCdf,
+    GpdCdf,
     GumbelCdf,
     LawKind,
     LawSpec,
@@ -111,7 +111,7 @@ def test_criterion_02_exactness_triad():
     cases = [
         (UniformCdf(), BetaPowerCdf(1.0), lambda n: NormingConstants(n, 1.0 / n, 1.0)),
         (ParetoCdf(2.0), ParetoCdf(2.0), lambda n: NormingConstants(n, n ** 0.5, 0.0)),
-        (ExponentialCdf(), ExponentialCdf(), lambda n: NormingConstants(n, 1.0, math.log(n))),
+        (GpdCdf(0.0), GpdCdf(0.0), lambda n: NormingConstants(n, 1.0, math.log(n))),
     ]
     worst = 0.0
     for f, g, make in cases:
@@ -125,7 +125,7 @@ def test_criterion_03_domain_of_attraction_convergence():
     orders = (100, 1000, 10000)
     normal_rows = convergence_report(
         StdNormalCdf(),
-        ExponentialCdf(),
+        GpdCdf(0.0),
         [norming_constants(StdNormalCdf(), n, LawKind.FREE_TYPE_I) for n in orders],
     )
     nd = [r.sup_distance for r in normal_rows]
@@ -145,7 +145,7 @@ def test_criterion_04_fc_homomorphism():
     crit = _Criterion(4, "classical-to-free homomorphism", 1.0)
     worst_map = 0.0
     for classical, free_law in [
-        (GumbelCdf(), ExponentialCdf()),
+        (GumbelCdf(), GpdCdf(0.0)),
         (FrechetCdf(1.0), ParetoCdf(1.0)),
         (FrechetCdf(2.0), ParetoCdf(2.0)),
         (WeibullCdf(1.0), BetaPowerCdf(1.0)),
@@ -317,7 +317,7 @@ def test_criterion_10_peaks_over_threshold():
     gamma_errs = []
     for gamma, law in [
         (-1.0, UniformCdf()),
-        (0.0, ExponentialCdf()),
+        (0.0, GpdCdf(0.0)),
         (0.5, make_law(LawSpec(LawKind.GENERALIZED_PARETO, shape=0.5))),
     ]:
         rng = rng_from_seed(1010, int(10 * gamma) + 100)

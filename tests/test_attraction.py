@@ -17,7 +17,6 @@ from freemax.attraction import (
 from freemax.cdf import CdfError, threshold_un
 from freemax.laws import (
     BetaPowerCdf,
-    ExponentialCdf,
     GpdCdf,
     LawKind,
     LawSpec,
@@ -35,7 +34,7 @@ from freemax.spectral import rng_from_seed
 # mean excess
 # ----------------------------------------------------------------------
 def test_mean_excess_exponential_is_one():
-    f = ExponentialCdf()
+    f = GpdCdf(0.0)
     for t in (0.0, 1.0, 5.0):
         assert mean_excess(f, t) == pytest.approx(1.0, abs=1e-8)
 
@@ -56,7 +55,7 @@ def test_mean_excess_normal_at_four():
 
 def test_mean_excess_exponential_at_far_threshold():
     # relative accuracy holds where the tail is small: u_n = ln n at n = 1e6
-    f = ExponentialCdf()
+    f = GpdCdf(0.0)
     n = 1_000_000
     c = norming_constants(f, n, LawKind.FREE_TYPE_I)
     assert abs(c.a_n - 1.0) <= 1e-13
@@ -102,7 +101,7 @@ def test_norming_uniform():
 
 
 def test_norming_exponential():
-    c = norming_constants(ExponentialCdf(), 10, LawKind.FREE_TYPE_I)
+    c = norming_constants(GpdCdf(0.0), 10, LawKind.FREE_TYPE_I)
     assert c.a_n == pytest.approx(1.0, abs=1e-6)
     assert c.b_n == pytest.approx(math.log(10), rel=1e-9)
     assert c.recipe == "TypeI_mean_excess"
@@ -125,7 +124,7 @@ def test_type_iii_norming_solves_no_threshold(law, monkeypatch):
 
 def test_norming_type_iii_needs_finite_endpoint():
     with pytest.raises(CdfError):
-        norming_constants(ExponentialCdf(), 10, LawKind.FREE_TYPE_III)
+        norming_constants(GpdCdf(0.0), 10, LawKind.FREE_TYPE_III)
     with pytest.raises(CdfError):
         norming_constants(StdNormalCdf(), 100, LawKind.FREE_TYPE_III)
 
@@ -156,8 +155,8 @@ def test_exactness_triad():
             lambda n: NormingConstants(n, n**0.5, 0.0),
         ),
         (
-            ExponentialCdf(),
-            ExponentialCdf(),
+            GpdCdf(0.0),
+            GpdCdf(0.0),
             lambda n: NormingConstants(n, 1.0, math.log(n)),
         ),
     ]
@@ -179,7 +178,7 @@ def test_exactness_triad_with_computed_constants():
 
 def test_normal_converges_to_free_type_i():
     f = StdNormalCdf()
-    g = ExponentialCdf()
+    g = GpdCdf(0.0)
     constants = [norming_constants(f, n, LawKind.FREE_TYPE_I) for n in (100, 1000, 10000)]
     rows = convergence_report(f, g, constants)
     dists = [r.sup_distance for r in rows]
@@ -202,7 +201,7 @@ def test_domain_coincidence_catalog():
     # with the same constants: normal (Gumbel), Cauchy (Frechet 1),
     # uniform (Weibull 1)
     cases = [
-        (StdNormalCdf(), ExponentialCdf(), LawKind.FREE_TYPE_I),
+        (StdNormalCdf(), GpdCdf(0.0), LawKind.FREE_TYPE_I),
         (standard_cauchy(), ParetoCdf(1.0), LawKind.FREE_TYPE_II),
         (UniformCdf(), make_law(LawSpec(LawKind.FREE_TYPE_III, shape=1.0)), LawKind.FREE_TYPE_III),
     ]
@@ -214,7 +213,7 @@ def test_domain_coincidence_catalog():
 
 
 def test_rows_sorted_by_n():
-    f = ExponentialCdf()
+    f = GpdCdf(0.0)
     constants = [NormingConstants(n, 1.0, math.log(n)) for n in (10, 2, 5)]
     rows = convergence_report(f, f, constants)
     assert [r.n for r in rows] == [2, 5, 10]
@@ -229,18 +228,31 @@ def test_rv_pareto_exact():
 
 
 def test_rv_uniform_at_endpoint():
-    dev = rv_check(UniformCdf(), 1.0, "at_endpoint", [0.5, 1, 2], [0.01, 0.001])
-    assert dev <= 1e-10
+    # exact: through tail_gap the gap x h is never formed as omega - (omega - x h)
+    assert rv_check(UniformCdf(), 1.0, "at_endpoint", [0.5, 1, 2], [0.01, 0.001]) == 0.0
+
+
+def test_rv_shifted_beta_power_at_endpoint():
+    f = make_law(LawSpec(LawKind.FREE_TYPE_III, shape=1.3, location=0.4, scale=1.37))
+    dev = rv_check(f, 1.3, "at_endpoint", [0.5, 1, 2, 4], [0.1, 0.01, 0.001])
+    assert dev <= 1e-15
 
 
 def test_rv_exponential_is_not_regularly_varying():
-    dev = rv_check(ExponentialCdf(), 2.0, "at_infinity", [0.5, 2.0], [20.0])
+    dev = rv_check(GpdCdf(0.0), 2.0, "at_infinity", [0.5, 2.0], [20.0])
     assert dev > 0.5
 
 
 def test_rv_rejects_dead_tail():
-    with pytest.raises(CdfError):
+    with pytest.raises(CdfError, match="beyond effective support"):
         rv_check(UniformCdf(), 1.0, "at_infinity", [2.0], [5.0])
+    with pytest.raises(CdfError, match="beyond effective support"):
+        rv_check(UniformCdf(), 1.0, "at_endpoint", [2.0], [-0.5])
+
+
+def test_rv_at_endpoint_needs_a_finite_endpoint():
+    with pytest.raises(CdfError, match="requires a finite upper endpoint"):
+        rv_check(ParetoCdf(2.0), 2.0, "at_endpoint", [2.0], [0.1])
 
 
 @pytest.mark.parametrize(
@@ -272,7 +284,7 @@ def _inverse_cdf_sample(law, size, seed):
     "law,gamma,tol",
     [
         (GpdCdf(0.5), 0.5, 0.05),
-        (ExponentialCdf(), 0.0, 0.03),
+        (GpdCdf(0.0), 0.0, 0.03),
         (UniformCdf(), -1.0, 0.05),
     ],
 )
@@ -332,7 +344,7 @@ def test_fit_gpd_is_deterministic():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_fit_gpd_rejects_non_finite(bad):
-    sample = list(_inverse_cdf_sample(ExponentialCdf(), 100, 5))
+    sample = list(_inverse_cdf_sample(GpdCdf(0.0), 100, 5))
     sample[17] = bad
     with pytest.raises(CdfError):
         fit_gpd(sample)

@@ -39,7 +39,6 @@ from freemax.cdf import (
 )
 from freemax.laws import (
     BetaPowerCdf,
-    ExponentialCdf,
     GpdCdf,
     GumbelCdf,
     LawKind,
@@ -128,7 +127,7 @@ def test_empirical_cdf_rejects_empty():
 
 
 def test_right_continuity_on_grid():
-    for f in (UniformCdf(), ExponentialCdf(), empirical_cdf([0.0, 0.5, 1.0])):
+    for f in (UniformCdf(), GpdCdf(0.0), empirical_cdf([0.0, 0.5, 1.0])):
         xs = np.linspace(-1, 2, 101) + 1e-3  # off the breakpoints
         np.testing.assert_allclose(f.value(xs), f.value(xs + 1e-12), atol=1e-9)
 
@@ -180,7 +179,7 @@ def test_free_min_conv_point_masses():
 
 
 def test_min_is_reflected_max():
-    f, g = ExponentialCdf(), UniformCdf()
+    f, g = GpdCdf(0.0), UniformCdf()
     direct = free_min_conv(f, g)
     dual = reflect(free_max_conv(reflect(f), reflect(g)))
     xs = np.linspace(-2, 3, 501) + 1e-4  # continuity points
@@ -213,14 +212,14 @@ def test_iterate_uniform_n2():
 
 
 def test_iterate_exponential_shift_identity():
-    f = ExponentialCdf()
+    f = GpdCdf(0.0)
     h = rescale(free_max_iterate(f, 5), 1.0, math.log(5))
     xs = np.linspace(-1, 20, 801)
     np.testing.assert_allclose(h.value(xs), f.value(xs), atol=1e-14)
 
 
 def test_iterate_identity_at_one():
-    f = ExponentialCdf()
+    f = GpdCdf(0.0)
     h = free_max_iterate(f, 1)
     xs = np.linspace(-1, 5, 101)
     np.testing.assert_allclose(h.value(xs), f.value(xs), atol=0)
@@ -246,13 +245,13 @@ def test_power_matches_iterate_at_integers():
 
 
 def test_power_tail_example():
-    f = ExponentialCdf()
+    f = GpdCdf(0.0)
     h = free_max_power(f, 2.5)
     assert h.tail(math.log(5)) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_power_semigroup():
-    f = ExponentialCdf()
+    f = GpdCdf(0.0)
     s, t = 2.0, 3.5
     xs = np.linspace(0, 10, 501)
     lhs = free_max_power(f, s * t).value(xs)
@@ -269,7 +268,7 @@ def test_power_rejects_sub_one():
 # rescale
 # ----------------------------------------------------------------------
 def test_rescale_identity():
-    f = ExponentialCdf()
+    f = GpdCdf(0.0)
     xs = np.linspace(-1, 5, 101)
     np.testing.assert_allclose(rescale(f, 1.0, 0.0).value(xs), f.value(xs), atol=0)
 
@@ -294,7 +293,7 @@ PUSH_LEAVES = {
     "shifted_uniform": make_law(LawSpec(LawKind.UNIFORM, location=-0.3, scale=1.7)),
     "triangular": triangular_law_cdf(0.6),
     "beta_power": BetaPowerCdf(2.0),
-    "exponential": ExponentialCdf(),
+    "exponential": GpdCdf(0.0),
 }
 PUSH_MAPS = [(1.5, -0.25), (0.37, 0.8), (3.0, -1.0)]
 
@@ -376,7 +375,7 @@ def test_rescale_rebuilds_the_convolutions_bit_for_bit(first, second, a, b):
 def test_affine_evaluation_rejects_a_nonpositive_scale(a):
     u = UniformCdf()
     for f in (u, PUSH_LEAVES["shifted_uniform"], free_max_power(u, 3.0),
-              free_max_conv(u, ExponentialCdf()), free_min_conv(u, ExponentialCdf())):
+              free_max_conv(u, GpdCdf(0.0)), free_min_conv(u, GpdCdf(0.0))):
         with pytest.raises(CdfError):
             f.value_affine(a, 0.5, 0.25)
         with pytest.raises(CdfError):
@@ -400,7 +399,7 @@ def test_pareto_free_stability_fixed_point():
     [
         (UniformCdf(), 2, 0.5),
         (ParetoCdf(1.0), 10, 10.0),
-        (ExponentialCdf(), 20, math.log(20)),
+        (GpdCdf(0.0), 20, math.log(20)),
     ],
 )
 def test_lower_endpoint_iterate(law, n, expected):
@@ -408,7 +407,7 @@ def test_lower_endpoint_iterate(law, n, expected):
 
 
 def test_lower_endpoint_matches_iterate_support():
-    f = ExponentialCdf()
+    f = GpdCdf(0.0)
     n = 7
     assert free_max_iterate(f, n).alpha == pytest.approx(
         lower_endpoint_iterate(f, n), rel=1e-9
@@ -432,7 +431,7 @@ def test_lower_endpoint_rejects_small_n():
     [
         (ParetoCdf(2.0), 100, 10.0),
         (UniformCdf(), 4, 0.75),
-        (ExponentialCdf(), 10, math.log(10)),
+        (GpdCdf(0.0), 10, math.log(10)),
     ],
 )
 def test_threshold_un(law, n, expected):
@@ -440,13 +439,13 @@ def test_threshold_un(law, n, expected):
 
 
 def test_threshold_satisfies_level_identity():
-    f = ExponentialCdf()
+    f = GpdCdf(0.0)
     u = threshold_un(f, 50)
     assert f.value(u) == pytest.approx(1 - 1 / 50, abs=1e-12)
 
 
 def test_iterate_support_identities():
-    f = ExponentialCdf()
+    f = GpdCdf(0.0)
     h = free_max_iterate(f, 4)
     assert h.omega == f.omega
     assert math.isfinite(h.alpha)
@@ -456,7 +455,7 @@ def test_iterate_support_identities():
 # exceedance
 # ----------------------------------------------------------------------
 def test_exceedance_exponential_memoryless():
-    f = ExponentialCdf()
+    f = GpdCdf(0.0)
     e = exceedance_cdf(f, 1.3)
     xs = np.linspace(0, 10, 401)
     np.testing.assert_allclose(e.value(xs), f.value(xs), atol=1e-12)
@@ -488,7 +487,7 @@ def test_exceedance_rejects_bad_threshold():
 def test_iterate_is_conditioning_above_threshold():
     # for continuous F the n-fold iterate is the law conditioned on
     # exceeding u_n, shifted back to the original axis
-    f = ExponentialCdf()
+    f = GpdCdf(0.0)
     n = 7
     u = threshold_un(f, n)
     conditioned = rescale(exceedance_cdf(f, u), 1.0, -u)
@@ -528,13 +527,13 @@ def test_atom_decomposition_reassembles_exactly():
 # reflect / quantile
 # ----------------------------------------------------------------------
 def test_reflect_involution_at_continuity_points():
-    f = ExponentialCdf()
+    f = GpdCdf(0.0)
     xs = np.linspace(0.1, 5, 101)
     np.testing.assert_allclose(reflect(reflect(f)).value(xs), f.value(xs), atol=1e-12)
 
 
 def test_reflect_exponential():
-    r = reflect(ExponentialCdf())
+    r = reflect(GpdCdf(0.0))
     xs = np.linspace(-5, 0, 101)
     np.testing.assert_allclose(r.value(xs), np.exp(xs), atol=1e-12)
     assert r.value(0.5) == 1.0
@@ -566,7 +565,7 @@ def test_quantile_rejects_out_of_range():
 
 
 def test_quantile_galois_inequality():
-    f = ExponentialCdf()
+    f = GpdCdf(0.0)
     for x in (0.1, 0.9, 2.5):
         assert f.quantile(f.value(x)) <= x + 1e-12
 
@@ -699,7 +698,7 @@ def _last_bit_pred(t):
 
 
 TREE_CASES = {
-    "exponential": lambda: (lambda t: ExponentialCdf().value(t) >= 0.3, -1.0, 1.0),
+    "exponential": lambda: (lambda t: GpdCdf(0.0).value(t) >= 0.3, -1.0, 1.0),
     "gumbel_tail": lambda: (lambda t: GumbelCdf().tail(t) < 1e-6, 0.0, 1.0),
     "pareto_power_tail": lambda: (
         lambda t: free_max_power(ParetoCdf(2.0), 7.5).tail(t) < 0.01, 1.0, 2.0),
@@ -710,8 +709,8 @@ TREE_CASES = {
         lambda t: free_max_conv(StdNormalCdf(), standard_cauchy()).value(t) >= 0.4, -1.0, 1.0),
     "defective_low": lambda: (lambda t: _defective_law().value(t) >= 0.05, -1.0, 1.0),
     "defective_high": lambda: (lambda t: _defective_law().value(t) >= 0.95, -1.0, 1.0),
-    "degenerate_equal": lambda: (lambda t: ExponentialCdf().value(t) >= 0.5, 0.5, 0.5),
-    "degenerate_reversed": lambda: (lambda t: ExponentialCdf().value(t) >= 0.5, 2.0, -3.0),
+    "degenerate_equal": lambda: (lambda t: GpdCdf(0.0).value(t) >= 0.5, 0.5, 0.5),
+    "degenerate_reversed": lambda: (lambda t: GpdCdf(0.0).value(t) >= 0.5, 2.0, -3.0),
     # roots at 0: the 600-step cap binds
     "cap_above_zero": lambda: (lambda t: t > 0.0, -1e300, 1e300),
     "cap_below_zero": lambda: (lambda t: t >= 0.0, -1.0, 1.0),
@@ -955,7 +954,7 @@ def test_a_window_is_taken_only_where_both_ends_verify():
 # algebraic invariants
 # ----------------------------------------------------------------------
 def test_conv_commutative_and_associative():
-    f, g, h = UniformCdf(), ExponentialCdf(), ParetoCdf(2.0)
+    f, g, h = UniformCdf(), GpdCdf(0.0), ParetoCdf(2.0)
     grid = comparison_grid(f, g, h)
     ab = free_max_conv(f, g)
     np.testing.assert_allclose(
@@ -967,7 +966,7 @@ def test_conv_commutative_and_associative():
 
 
 def test_min_conv_commutative_and_associative():
-    f, g, h = UniformCdf(), ExponentialCdf(), ParetoCdf(2.0)
+    f, g, h = UniformCdf(), GpdCdf(0.0), ParetoCdf(2.0)
     grid = comparison_grid(f, g, h)
     np.testing.assert_allclose(
         free_min_conv(f, g).value(grid), free_min_conv(g, f).value(grid), atol=1e-12
@@ -978,7 +977,7 @@ def test_min_conv_commutative_and_associative():
 
 
 def test_tail_identity():
-    f, g = ExponentialCdf(), ParetoCdf(1.0)
+    f, g = GpdCdf(0.0), ParetoCdf(1.0)
     grid = comparison_grid(f, g)
     conv = free_max_conv(f, g)
     lhs = 1.0 - conv.value(grid)
@@ -1000,7 +999,7 @@ def sample_cdfs(draw):
         return UniformCdf(lo, lo + width)
     if kind == 2:
         return ParetoCdf(draw(st.floats(0.5, 4)))
-    return ExponentialCdf()
+    return GpdCdf(0.0)
 
 
 @given(sample_cdfs(), sample_cdfs())
@@ -1223,9 +1222,9 @@ SCALAR_LAWS = dict(
     free_max_power_beta=free_max_power(BetaPowerCdf(2.0), 7.5),
     free_max_conv_normal_cauchy=free_max_conv(StdNormalCdf(), standard_cauchy()),
     free_max_conv_uniform_beta=free_max_conv(UniformCdf(), BetaPowerCdf(2.0)),
-    free_min_conv_uniform_exponential=free_min_conv(UniformCdf(), ExponentialCdf()),
+    free_min_conv_uniform_exponential=free_min_conv(UniformCdf(), GpdCdf(0.0)),
     classical_product=classical_max_conv(UniformCdf(), BetaPowerCdf(2.0)),
-    reflect_exponential=reflect(ExponentialCdf()),
+    reflect_exponential=reflect(GpdCdf(0.0)),
     affine_beta=rescale(BetaPowerCdf(2.0), 2.0, 0.5),
     f_c_uniform=f_c_map(UniformCdf(), 0.5),
     marchenko_pastur=mp_cdf(0.5),
@@ -1337,13 +1336,13 @@ HOOK_CASES = {
     "free_max_power_alpha_at_s_1": lambda: _endpoint_check(
         free_max_power(BetaPowerCdf(2.0), 1.0).alpha,
         Cdf._solve_alpha(free_max_power(BetaPowerCdf(2.0), 1.0))),
-    "free_max_conv_affine": lambda: _affine_check(free_max_conv(UniformCdf(), ExponentialCdf())),
-    "free_min_conv_affine": lambda: _affine_check(free_min_conv(UniformCdf(), ExponentialCdf())),
+    "free_max_conv_affine": lambda: _affine_check(free_max_conv(UniformCdf(), GpdCdf(0.0))),
+    "free_min_conv_affine": lambda: _affine_check(free_min_conv(UniformCdf(), GpdCdf(0.0))),
     "free_min_conv_left": lambda: _left_check(
         free_min_conv(empirical_cdf([0.0, 0.5]), UniformCdf())),
     # omega solves x + (1 - e^-x) = 1, i.e. x = e^-x
     "free_min_conv_omega": lambda: _endpoint_check(
-        free_min_conv(UniformCdf(), ExponentialCdf()).omega, 0.5671432904097838),
+        free_min_conv(UniformCdf(), GpdCdf(0.0)).omega, 0.5671432904097838),
     "classical_product_left": lambda: _left_check(
         classical_max_conv(empirical_cdf([0.0, 0.5]), UniformCdf())),
     "exceedance_left": lambda: _left_check(

@@ -528,6 +528,23 @@ def test_count_and_list_flags_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["conv", "--law", '{"kind":"Uniform"}', "--law2", '{"kind":"Uniform"}', "--op", "max"],
+         "--op"),
+        (["spectral", "--experiment", "bogus", "--seed", "1"], "--experiment"),
+        (["iterate", "--law", '{"kind":"Uniform"}', "--n", "2", "--type", "IV"], "--type"),
+        (["attract", "--law", '{"kind":"Uniform"}', "--n", "2", "--type", "i"], "--type"),
+    ],
+    ids=["conv_op", "spectral_experiment", "iterate_type", "attract_type"],
+)
+def test_enumerated_flags_reject_other_values_as_usage_errors(capsys, argv, flag):
+    code, err = run_error(capsys, argv)
+    assert code == EXIT_USAGE
+    assert err["error"]["message"].startswith(f"argument {flag}: invalid choice: ")
+
+
+@pytest.mark.parametrize(
     "subsets,dump", [(";", True), ("", False), (";;", False), (",", False), ("1;,", True)])
 def test_poisson_without_subsets_is_a_usage_error(tmp_path, capsys, subsets, dump):
     part = tmp_path / "part.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from freemax.cdf import (
 )
 from freemax.laws import (
     BetaPowerCdf,
-    ExponentialCdf,
     FrechetCdf,
     GpdCdf,
     GumbelCdf,
@@ -101,6 +101,49 @@ def test_gpd_small_gamma_approaches_exponential():
     assert np.max(np.abs(g.value(xs) - g0.value(xs))) < 1e-6
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("law", [make_law(LawSpec(LawKind.FREE_TYPE_I)),
+                                 law_catalog()["exponential"], GpdCdf(0.0)],
+                         ids=["FreeTypeI", "catalog", "GpdCdf"])
+def test_free_type_i_is_gpd_zero_with_the_exponential_bits(law):
+    assert isinstance(law, GpdCdf) and law.gamma == 0.0
+    assert (law.alpha, law.omega) == (0.0, math.inf)
+    xs = np.array([-math.inf, -1.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 30.0, 745.0, 746.0, math.inf])
+    pos = xs > 0.0
+    with np.errstate(over="ignore"):
+        value = np.where(pos, -np.expm1(-xs), 0.0)
+        tail = np.where(pos, np.exp(-xs), 1.0)
+    for got, want in ((law.value(xs), value), (law.tail(xs), tail), (law.left(xs), value)):
+        assert _bits(got) == _bits(want)
+    assert _bits([law.value(float(x)) for x in xs]) == _bits(value)
+    assert _bits([law.tail(float(x)) for x in xs]) == _bits(tail)
+    ps = np.array([1e-300, 0.25, 0.5, 1.0 - 2.0**-53, 1.0])
+    with np.errstate(divide="ignore"):
+        quantile = -np.log1p(-ps)
+    assert _bits(law.quantile(ps)) == _bits(quantile)
+    assert _bits([law.quantile(float(p)) for p in ps]) == _bits(quantile)
+
+
+_NEEDS_SHAPE = {LawKind.FREE_TYPE_II, LawKind.FREE_TYPE_III, LawKind.CLASSICAL_FRECHET,
+                LawKind.CLASSICAL_WEIBULL}
+
+
+@pytest.mark.parametrize("kind", list(LawKind), ids=[k.value for k in LawKind])
+def test_quantile_at_the_unit_levels_raises_no_warning(kind):
+    shape = {LawKind.GENERALIZED_PARETO: 0.0}.get(kind, 1.5 if kind in _NEEDS_SHAPE else None)
+    law = make_law(LawSpec(kind, shape=shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert law.quantile(0.0) == -math.inf
+        assert law.quantile(1.0) == law.omega
+        levels = law.quantile([0.0, 0.5, 1.0])
+    assert levels[0] == -math.inf and levels[2] == law.omega
+    assert law.alpha <= levels[1] <= law.omega
+
+
 def test_gpd_supports():
     assert make_law(LawSpec(LawKind.GENERALIZED_PARETO, shape=0.5)).omega == math.inf
     neg = make_law(LawSpec(LawKind.GENERALIZED_PARETO, shape=-0.25))
@@ -142,7 +185,7 @@ def test_make_law_rejects_bad_shape():
 
 def test_location_scale_parametrization():
     law = make_law(LawSpec(LawKind.FREE_TYPE_I, location=2.0, scale=3.0))
-    base = ExponentialCdf()
+    base = GpdCdf(0.0)
     xs = np.linspace(-1, 20, 601)
     np.testing.assert_allclose(law.value(xs), base.value((xs - 2.0) / 3.0), atol=1e-14)
 
@@ -174,7 +217,7 @@ def test_law_spec_json_round_trip():
 # ----------------------------------------------------------------------
 def test_f1_maps_gumbel_to_exponential_law():
     mapped = f_c_map(GumbelCdf(), 1.0)
-    target = ExponentialCdf()
+    target = GpdCdf(0.0)
     xs = np.linspace(-5, 15, 2001)
     np.testing.assert_allclose(mapped.value(xs), target.value(xs), atol=1e-12)
 
@@ -283,7 +326,7 @@ def test_fixed_point_suite(kind, alpha):
 
 
 def test_verify_max_stable_free_type_i():
-    check = verify_max_stable(ExponentialCdf(), 3)
+    check = verify_max_stable(GpdCdf(0.0), 3)
     assert check.stable
     assert check.a == pytest.approx(1.0, abs=1e-8)
     assert check.b == pytest.approx(math.log(3), abs=1e-8)
