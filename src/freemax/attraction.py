@@ -6,8 +6,11 @@ scale, Type III uses the gap to the finite endpoint, and Type I uses the
 mean excess function as the auxiliary scale.  This module builds those
 constants, measures convergence of normalized iterates on a grid, runs
 regular-variation diagnostics, and fits generalized Pareto laws to
-exceedance samples.  Only ``mean_excess`` imports scipy (``quad``), when
-it runs: ``fit_gpd`` solves with private ports of scipy's scalar solvers.
+exceedance samples.  ``mean_excess`` takes the tail integral in closed
+form where the law has one (``Cdf._tail_integral``) and imports scipy's
+``quad`` only for the other laws; ``fit_gpd`` solves with private ports of
+scipy's scalar solvers.  A run on closed-form laws thus loads neither
+``scipy.integrate`` nor ``scipy.optimize``.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .cdf import (
+    _HUGE,
     Cdf,
     CdfError,
     _monotone_inf,
@@ -88,21 +92,41 @@ class ThresholdRow(NamedTuple):
 def mean_excess(f: Cdf, t: float) -> float:
     """g(t) = integral of the tail over (t, omega) divided by the tail at t.
 
-    Adaptive quadrature, on (t, inf) directly for laws with an infinite
-    endpoint, at relative tolerance 1e-10 and an absolute tolerance of
-    1e-10 times the tail at t, so that g keeps its relative accuracy
-    however small the tail at t is.  Raises ``CdfError`` when quadrature
-    reports failure, as it does for a divergent integral (infinite mean).
+    The integral is the law's ``_tail_integral`` where that is a closed
+    form: the GPD family (exponential, Pareto, Beta power, uniform), the
+    normal, the Gumbel law at and above its mode, and any affine image of
+    these.  Elsewhere (tables, ``FunctionCdf``, Frechet, Weibull, derived
+    laws) it is ``_quad_tail_integral``.  Raises ``CdfError`` for an
+    infinite mean.
     """
-    from scipy import integrate
-
     t = float(t)
     if t >= f.omega:
         raise CdfError("mean excess needs t below the upper support endpoint")
+    if not math.isfinite(t):
+        raise CdfError("mean excess needs a finite t")
     tail_t = f.tail(t)
     if not tail_t > 0.0:
         raise CdfError("mean excess undefined where the tail vanishes")
-    total, _, _, *failure = integrate.quad(
+    total = f._tail_integral(t)
+    if total is None:
+        total = _quad_tail_integral(f, t, tail_t)
+    if total == math.inf:
+        raise CdfError(f"mean excess at t={t} is infinite: the law has an infinite mean")
+    return float(total / tail_t)
+
+
+def _quad_tail_integral(f: Cdf, t: float, tail_t: float) -> float:
+    """The integral of the tail over (t, omega) by adaptive quadrature.
+
+    On (t, inf) directly for laws with an infinite endpoint, at relative
+    tolerance 1e-10 and an absolute tolerance of 1e-10 times the tail at
+    t, so that the mean excess keeps its relative accuracy however small
+    the tail at t is.  Raises ``CdfError`` when quadrature reports
+    failure, as it does for a divergent integral (infinite mean).
+    """
+    from scipy.integrate import quad
+
+    total, _, _, *failure = quad(
         f.tail, t, f.omega, epsabs=QUAD_TOL * tail_t, epsrel=QUAD_TOL, limit=400,
         full_output=1,
     )
@@ -111,7 +135,16 @@ def mean_excess(f: Cdf, t: float) -> float:
         # the tolerance: either way the number is not a mean excess
         reason = failure[0].splitlines()[0]
         raise CdfError(f"mean excess integral failed at t={t}: {reason}")
-    return float(total / tail_t)
+    return total
+
+
+def _finite_threshold(f: Cdf, n: int) -> float:
+    """u_n, or ``CdfError`` where it lies beyond what the bisection searches."""
+    u_n = threshold_un(f, n)
+    if math.isinf(u_n):
+        raise CdfError(f"threshold u_n at n={n} lies outside the range +/-{_HUGE:g} "
+                       "that its bisection searches")
+    return u_n
 
 
 def norming_constants(f: Cdf, n: int, kind: LawKind) -> NormingConstants:
@@ -122,10 +155,10 @@ def norming_constants(f: Cdf, n: int, kind: LawKind) -> NormingConstants:
         raise CdfError("norming constants need n >= 2")
     kind = LawKind(kind)
     if kind is LawKind.FREE_TYPE_I:
-        u_n = threshold_un(f, n)
+        u_n = _finite_threshold(f, n)
         return NormingConstants(n, mean_excess(f, u_n), u_n, "TypeI_mean_excess")
     if kind is LawKind.FREE_TYPE_II:
-        u_n = threshold_un(f, n)
+        u_n = _finite_threshold(f, n)
         if math.isfinite(f.omega):
             raise CdfError("Type II norming needs an unbounded upper tail")
         return NormingConstants(n, u_n, 0.0, "TypeII_un")
@@ -178,20 +211,21 @@ def rv_check(
     """Largest deviation from the power-law tail ratio on a test lattice.
 
     ``at_infinity`` compares Fbar(t x)/Fbar(t) with x^(-alpha) for t in
-    ``scale_list``; ``at_endpoint`` compares Fbar(omega - x h)/Fbar(omega - h)
-    with x^alpha for h in ``scale_list`` (finite endpoint required), through
-    ``tail_gap`` so that omega - x h never cancels.
+    ``scale_list``, each positive and finite; ``at_endpoint`` compares
+    Fbar(omega - x h)/Fbar(omega - h) with x^alpha for h in ``scale_list``
+    (finite endpoint required), each positive and below the support width
+    omega - alpha, through ``tail_gap`` so that omega - x h never cancels.
     """
     if not (alpha > 0 and math.isfinite(alpha)):
         raise CdfError("regular variation exponent must be positive and finite")
     if not all(x > 0 and math.isfinite(x) for x in x_list):
         raise CdfError("regular variation test points must be positive and finite")
     if mode == "at_infinity":
-        tail_at, exponent, label = f.tail, -alpha, "scale t"
+        tail_at, exponent, label, bound = f.tail, -alpha, "scale t", math.inf
     elif mode == "at_endpoint":
         if not math.isfinite(f.omega):
             raise CdfError("at_endpoint mode requires a finite upper endpoint")
-        tail_at, exponent, label = f.tail_gap, alpha, "offset h"
+        tail_at, exponent, label, bound = f.tail_gap, alpha, "offset h", f.omega - f.alpha
     else:
         raise CdfError(f"unknown regular-variation mode {mode!r}")
     worst = 0.0
@@ -199,6 +233,9 @@ def rv_check(
         base = tail_at(s)
         if not base > 0.0:
             raise CdfError(f"tail vanishes at {label}={s}: beyond effective support")
+        if not 0.0 < s < bound:
+            within = "finite" if bound == math.inf else f"below the support width {bound!r}"
+            raise CdfError(f"{label}={s} must be positive and {within}")
         for x in x_list:
             worst = max(worst, abs(tail_at(s * x) / base - _rv_power(x, exponent)))
     return worst

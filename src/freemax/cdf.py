@@ -218,10 +218,11 @@ class Cdf:
     both: each defaults to one minus the other, so a subclass must
     override at least one.  Laws whose tail is the native quantity (the
     convolution and iteration formulas amplify it) implement ``_tail``.
-    ``_left``, ``_quantile`` and ``_tail_gap`` are overridden where a
-    closed or numerically stabler form exists.  The affine-argument hooks
-    ``_value_affine``/``_tail_affine`` give F(a x + b) and 1 - F(a x + b);
-    leaf laws fold the map into their formula where that avoids
+    ``_left``, ``_quantile``, ``_tail_gap`` and ``_tail_integral`` are
+    overridden where a closed or numerically stabler form exists.  The
+    affine-argument hooks ``_value_affine``/``_tail_affine`` give F(a x + b)
+    and 1 - F(a x + b), and ``_tail_integral_affine`` the tail integral from
+    a x + b; leaf laws fold the map into their formula where that avoids
     cancellation, and ``AffineCdf`` (built by ``rescale``) is their only
     caller.  Instances are immutable; all operations are pure, so
     concurrent reads are safe.
@@ -253,6 +254,16 @@ class Cdf:
     def _tail_gap(self, h: np.ndarray) -> np.ndarray:
         # tail at omega - h; overridden where the difference would cancel
         return self._tail(self.omega - h)
+
+    def _tail_integral(self, t: float) -> Optional[float]:
+        """The integral of the tail over (t, omega), t a float below omega,
+        in closed form (``math.inf`` for an infinite mean), or None where
+        there is none: ``mean_excess`` then integrates by quadrature."""
+        return None
+
+    def _tail_integral_affine(self, a: float, b: float, t: float) -> Optional[float]:
+        """``_tail_integral`` at a t + b, for ``AffineCdf``."""
+        return self._tail_integral(a * t + b)
 
     def _guess_quantile(self, p: float) -> float:
         """``_quantile`` at level p where it is a closed form, else nan:
@@ -512,6 +523,10 @@ class AffineCdf(Cdf):
 
     def _tail_gap(self, h):
         return self.parent._tail_gap(self.a * h)
+
+    def _tail_integral(self, t):
+        total = self.parent._tail_integral_affine(self.a, self.b, t)
+        return None if total is None else total / self.a
 
     def _quantile(self, p):
         return (self.parent._quantile(p) - self.b) / self.a

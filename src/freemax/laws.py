@@ -5,8 +5,11 @@ law, and the negative-power Beta law on [-1, 0]; together, up to affine
 reparametrization, they are exactly the generalized Pareto family.  Their
 classical counterparts (Gumbel, Frechet, Weibull) are carried alongside
 them so that the classical-to-free homomorphism u -> (1 + c ln u)_+ can
-be exercised on both ends.  Only ``StdNormalCdf`` imports scipy (its
-``ndtr``/``ndtri``), when it is constructed.
+be exercised on both ends.  The canonical laws but Frechet and Weibull
+give the mean excess its tail integral in closed form (``_tail_integral``;
+the Gumbel law at and above its mode).
+Only ``StdNormalCdf`` imports scipy (its ``ndtr``/``ndtri``), when it is
+constructed.
 """
 from __future__ import annotations
 
@@ -133,6 +136,15 @@ class LawSpec:
 # ----------------------------------------------------------------------
 # canonical laws
 # ----------------------------------------------------------------------
+def _endpoint_gap(omega: float, a: float, b: float, t: float) -> float:
+    """omega - (a t + b) in exact rationals, rounded once.  The mean excess
+    of a law with a power tail at a finite endpoint is proportional to this
+    gap, which the float form loses to cancellation near the endpoint."""
+    from fractions import Fraction
+
+    return float(Fraction(omega) - Fraction(b) - Fraction(a) * Fraction(t))
+
+
 class UniformCdf(Cdf):
     def __init__(self, lo: float = 0.0, hi: float = 1.0):
         super().__init__()
@@ -162,6 +174,15 @@ class UniformCdf(Cdf):
     def _tail_gap(self, h):
         return np.clip(h / self.width, 0.0, 1.0)
 
+    def _tail_integral(self, t):
+        return self._tail_integral_affine(1.0, 0.0, t)
+
+    def _tail_integral_affine(self, a, b, t):
+        gap = _endpoint_gap(self.hi, a, b, t)
+        if gap > self.width:
+            return gap - 0.5 * self.width
+        return float(self._tail_affine(a, b, np.array([t]))[0]) * gap / 2.0
+
     def _quantile(self, p):
         return self.lo + p * self.width
 
@@ -185,6 +206,13 @@ class ParetoCdf(Cdf):
         safe = np.maximum(x, 1.0)
         return np.where(x <= 1.0, 1.0, safe ** (-self.shape))
 
+    def _tail_integral(self, t):
+        if self.shape <= 1.0:
+            return math.inf
+        if t < 1.0:
+            return (1.0 - t) + 1.0 / (self.shape - 1.0)
+        return self.tail(t) * t / (self.shape - 1.0)
+
     def _quantile(self, p):
         with np.errstate(divide="ignore"):
             return np.exp(-np.log1p(-p) / self.shape)
@@ -203,6 +231,15 @@ class BetaPowerCdf(Cdf):
 
     def _tail(self, x):
         return np.clip(np.abs(np.minimum(x, 0.0)) ** self.shape, 0.0, 1.0)
+
+    def _tail_integral(self, t):
+        return self._tail_integral_affine(1.0, 0.0, t)
+
+    def _tail_integral_affine(self, a, b, t):
+        gap = _endpoint_gap(0.0, a, b, t)
+        if gap > 1.0:
+            return (gap - 1.0) + 1.0 / (self.shape + 1.0)
+        return float(self._tail_affine(a, b, np.array([t]))[0]) * gap / (self.shape + 1.0)
 
     def _quantile(self, p):
         return -((1.0 - p) ** (1.0 / self.shape))
@@ -233,6 +270,18 @@ class GpdCdf(Cdf):
     def _value(self, x):
         return np.where(x <= 0.0, 0.0, -np.expm1(self._log_tail(x)))
 
+    def _tail_integral(self, t):
+        g = self.gamma
+        if g >= 1.0:
+            return math.inf
+        if t < 0.0:
+            return 1.0 / (1.0 - g) - t
+        # the tail times the mean excess (1 + g t)/(1 - g), which is the
+        # tail itself at g = 0; below zero shape 1 + g t is |g| times the
+        # gap to the endpoint, which does not cancel near it
+        rise = 1.0 + g * t if g >= 0.0 else -g * (self.omega - t)
+        return self.tail(t) * rise / (1.0 - g)
+
     def _quantile(self, p):
         with np.errstate(divide="ignore", over="ignore"):
             if self.gamma == 0.0:
@@ -251,6 +300,22 @@ class GumbelCdf(Cdf):
 
     def _tail(self, x):
         return -np.expm1(-np.exp(-x))
+
+    def _tail_integral(self, t):
+        # Ein(z) at z = exp(-t) (DLMF 6.6.4), as the tail 1 - exp(-z) times
+        # the mean excess 1 + (Ein(z) - 1 + exp(-z)) / (1 - exp(-z)); the
+        # difference is the series -sum (-1)^(k+1) z^k (k - 1) / (k k!),
+        # whose first term dominates for z <= 1 and whose 20th is below
+        # 1e-19 of the sum there
+        if t < 0.0:
+            return None
+        z = math.exp(-t)
+        tail = self.tail(t)
+        terms, power = [], z * z / 2.0  # power = (-1)^k z^k / k!
+        for k in range(2, 22):
+            terms.append(power * (k - 1) / k)
+            power *= -z / (k + 1)
+        return tail * (1.0 + math.fsum(terms) / tail)
 
     def _quantile(self, p):
         with np.errstate(divide="ignore"):
@@ -305,6 +370,9 @@ class WeibullCdf(Cdf):
             return -((-np.log(p)) ** (1.0 / self.shape))
 
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
 class StdNormalCdf(Cdf):
     def __init__(self):
         from scipy.special import ndtr, ndtri
@@ -319,6 +387,22 @@ class StdNormalCdf(Cdf):
 
     def _tail(self, x):
         return self._ndtr(-x)
+
+    def _tail_integral(self, t):
+        # phi(t) - t Phibar(t).  From t = 1 up that difference cancels, and
+        # it is the tail times the mean excess 1/R(t) - t, R = Phibar/phi
+        # the Mills ratio, taken from Laplace's continued fraction
+        # 1/R = t + 1/(t + 2/(t + 3/(t + ...))) (DLMF 7.9.2 at z = t/sqrt 2),
+        # summed from the last of enough terms that the truncation is
+        # below 1e-17 of the mean excess.  1/R - t from erfcx would lose
+        # t^2 ulps to the cancellation.
+        tail = self.tail(t)
+        if t < 1.0:
+            return math.exp(-0.5 * t * t) / _SQRT_2PI - t * tail
+        rest = 0.0
+        for k in range(int(800.0 / (t * t)) + 10, 1, -1):
+            rest = k / (t + rest)
+        return tail / (t + rest)
 
     def _quantile(self, p):
         return self._ndtri(p)

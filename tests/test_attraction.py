@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,15 +15,18 @@ from freemax.attraction import (
     norming_constants,
     rv_check,
 )
-from freemax.cdf import CdfError, threshold_un
+from freemax.cdf import AffineCdf, CdfError, threshold_un
 from freemax.laws import (
     BetaPowerCdf,
+    FrechetCdf,
     GpdCdf,
+    GumbelCdf,
     LawKind,
     LawSpec,
     ParetoCdf,
     StdNormalCdf,
     UniformCdf,
+    WeibullCdf,
     log_perturbed_pareto,
     make_law,
     standard_cauchy,
@@ -81,6 +85,147 @@ def test_mean_excess_rejects_infinite_mean(law):
     # the tail integral diverges: quadrature failure is an error, not a number
     with pytest.raises(CdfError):
         mean_excess(law, 10.0)
+
+
+def _refuse_quadrature(f, t, tail_t):
+    raise AssertionError("mean excess fell back to quadrature")
+
+
+@pytest.mark.parametrize("spec", [
+    LawSpec(LawKind.FREE_TYPE_II, shape=1.0),
+    LawSpec(LawKind.FREE_TYPE_II, shape=0.5, location=0.4, scale=1.37),
+    LawSpec(LawKind.GENERALIZED_PARETO, shape=1.2),
+    LawSpec(LawKind.GENERALIZED_PARETO, shape=1.0, location=0.4, scale=1.37),
+], ids=["pareto1", "pareto-half-affine", "gpd1.2", "gpd1-affine"])
+def test_closed_form_infinite_mean_is_an_error(spec, monkeypatch):
+    monkeypatch.setattr(attraction_module, "_quad_tail_integral", _refuse_quadrature)
+    with pytest.raises(CdfError, match="infinite mean"):
+        mean_excess(make_law(spec), 10.0)
+
+
+# references in 80-digit decimal arithmetic, at the exact a t + b of an affine law
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510"
+               "582097494459230781640628620899863")
+_TINY = Decimal("1e-70")
+
+
+def _normal_mean_excess(s):
+    """phi(s)/Phibar(s) - s, with Phi(s) = 1/2 + phi(s) sum s^(2k+1)/(2k+1)!!."""
+    phi = (-s * s / 2).exp() / (2 * _PI).sqrt()
+    total, term, k = Decimal(0), s, 0
+    while abs(term) > _TINY:
+        total += term
+        k += 1
+        term = term * s * s / (2 * k + 1)
+    return phi / (Decimal("0.5") - phi * total) - s
+
+
+def _gumbel_mean_excess(s):
+    """Ein(z)/(1 - exp(-z)) at z = exp(-s), Ein = sum (-1)^(k+1) z^k/(k k!)."""
+    z = (-s).exp()
+    ein, power, k = Decimal(0), z, 1
+    while abs(power) > _TINY:
+        ein += power / k
+        k += 1
+        power = -power * z / k
+    return ein / (1 - (-z).exp())
+
+
+def _reference_mean_excess(law, t):
+    with localcontext() as ctx:
+        ctx.prec = 80
+        a, b = Decimal(1), Decimal(0)
+        if isinstance(law, AffineCdf):
+            a, b, law = Decimal(law.a), Decimal(law.b), law.parent
+        s = a * Decimal(t) + b
+        if isinstance(law, GpdCdf):
+            g = Decimal(law.gamma)
+            g_s = (1 + g * s) / (1 - g)
+        elif isinstance(law, ParetoCdf):
+            g_s = s / (Decimal(law.shape) - 1)
+        elif isinstance(law, BetaPowerCdf):
+            g_s = -s / (Decimal(law.shape) + 1)
+        elif isinstance(law, UniformCdf):
+            g_s = (Decimal(law.hi) - s) / 2
+        elif isinstance(law, StdNormalCdf):
+            g_s = _normal_mean_excess(s)
+        else:
+            g_s = _gumbel_mean_excess(s)
+        return g_s / a
+
+
+_CLOSED_FORMS = [
+    (LawKind.FREE_TYPE_I, None),
+    (LawKind.GENERALIZED_PARETO, 0.5),
+    (LawKind.GENERALIZED_PARETO, -0.3),
+    (LawKind.FREE_TYPE_II, 3.0),
+    (LawKind.FREE_TYPE_III, 1.3),
+    (LawKind.UNIFORM, None),
+    (LawKind.STD_NORMAL, None),
+    (LawKind.CLASSICAL_GUMBEL, None),
+]
+
+
+def _errors_at_thresholds(spec, monkeypatch):
+    """(|closed form - reference|, |quadrature - reference|, ulp of the
+    closed form) at u_n for n = 1e2, 1e4, 1e6."""
+    law = make_law(spec)
+    rows = []
+    for n in (100, 10**4, 10**6):
+        u = threshold_un(law, n)
+        reference = _reference_mean_excess(law, u)
+        tail = law.tail(u)
+        # the fallback is the whole of the former mean_excess: these are its doubles
+        quadrature = attraction_module._quad_tail_integral(law, u, tail) / tail
+        with monkeypatch.context() as m:
+            m.setattr(attraction_module, "_quad_tail_integral", _refuse_quadrature)
+            closed = mean_excess(law, u)
+        rows.append((abs(Decimal(closed) - reference), abs(Decimal(quadrature) - reference),
+                     Decimal(math.ulp(closed))))
+    return rows
+
+
+@pytest.mark.parametrize("scale", [(0.0, 1.0), (0.4, 1.37)], ids=["leaf", "affine"])
+@pytest.mark.parametrize("kind,shape", _CLOSED_FORMS, ids=lambda v: str(v))
+def test_closed_form_mean_excess_is_at_least_as_close_as_quadrature(kind, shape, scale,
+                                                                    monkeypatch):
+    location, size = scale
+    rows = _errors_at_thresholds(LawSpec(kind, shape=shape, location=location, scale=size),
+                                 monkeypatch)
+    assert all(closed <= quadrature for closed, quadrature, _ in rows), rows
+
+
+@pytest.mark.parametrize("scale", [(-2.5, 0.3), (7.0, 12.5)])
+@pytest.mark.parametrize("kind,shape", _CLOSED_FORMS, ids=lambda v: str(v))
+def test_closed_form_mean_excess_trails_quadrature_by_at_most_two_ulps(kind, shape, scale,
+                                                                       monkeypatch):
+    # under other affine maps the quadrature's double is now and then the
+    # nearer one: both round the argument a t + b, and the closed form
+    # divides the tail times the mean excess by the tail again
+    location, size = scale
+    rows = _errors_at_thresholds(LawSpec(kind, shape=shape, location=location, scale=size),
+                                 monkeypatch)
+    assert all(closed <= max(quadrature, 2 * ulp) for closed, quadrature, ulp in rows), rows
+
+
+@pytest.mark.parametrize("law,expected", [
+    (FrechetCdf(2.0), [10.008377364359104, 100.00083337708612]),
+    (WeibullCdf(2.0), [0.03348430774049205, 0.0033334833430066608]),
+    (log_perturbed_pareto(3.0), [1.4859011961996722, 6.2329871044837954]),
+], ids=["frechet", "weibull", "function"])
+def test_laws_without_a_closed_form_keep_the_quadrature_doubles(law, expected):
+    assert law._tail_integral(2.0) is None
+    assert [mean_excess(law, threshold_un(law, n)) for n in (100, 10**4)] == expected
+
+
+def test_gumbel_below_its_mode_falls_back_to_quadrature():
+    # the Ein series cancels for z = exp(-t) > 1
+    assert GumbelCdf()._tail_integral(-0.5) is None
+    closed_at_zero = mean_excess(GumbelCdf(), 0.0)
+    assert closed_at_zero == pytest.approx(float(_reference_mean_excess(GumbelCdf(), 0.0)),
+                                           rel=1e-15)
+    assert mean_excess(GumbelCdf(), -0.5) == pytest.approx(
+        float(_reference_mean_excess(GumbelCdf(), -0.5)), rel=1e-10)
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import freemax
 from freemax.cli import EXIT_INPUT, EXIT_LAW, EXIT_USAGE, dispatch
 from freemax.attraction import mean_excess
-from freemax.cdf import threshold_un
-from freemax.laws import LawKind, LawSpec, make_law
+from freemax.cdf import threshold_un, write_cdf_table
+from freemax.laws import LawKind, LawSpec, StdNormalCdf, make_law
 
 
 def run_json(capsys, argv):
@@ -197,6 +197,49 @@ def test_attract_type_i_reports_the_mean_excess_at_the_last_threshold(capsys):
     payload = doc["payload"]
     assert payload["mean_excess_at_un"] == mean_excess(law, threshold_un(law, 1000))
     assert payload["mean_excess_at_un"] == payload["constants"][-1]["a_n"]
+
+
+def test_attract_type_i_mean_excess_at_a_huge_scale(capsys):
+    # the closed form keeps the scale: quadrature over (u_2, inf) called
+    # this integral divergent
+    doc = run_json(capsys, ["attract", "--law", '{"kind":"FreeTypeI","scale":1e300}',
+                            "--type", "I", "--n", "2"])
+    assert doc["payload"]["mean_excess_at_un"] == 1e300
+
+
+def test_attract_refuses_a_threshold_past_the_bisection_range(capsys):
+    # u_10 = 1e300 ln 10 is above the 1e300 the threshold bisection reaches
+    code, err = run_error(capsys, ["attract", "--law", '{"kind":"FreeTypeI","scale":1e300}',
+                                   "--type", "I", "--n", "2,10"])
+    assert code == EXIT_LAW
+    assert "u_n at n=10 lies outside the range +/-1e+300" in err["error"]["message"]
+
+
+def test_attract_type_i_on_a_table_keeps_the_quadrature_doubles(tmp_path, capsys):
+    # a table has no closed-form tail integral: these are the quadrature's doubles
+    path = tmp_path / "normal.csv"
+    write_cdf_table(StdNormalCdf(), np.linspace(-8.0, 8.0, 17), str(path))
+    doc = run_json(capsys, ["attract", "--law-csv", str(path), "--type", "I", "--n", "10,100"])
+    assert [c["a_n"] for c in doc["payload"]["constants"]] == [0.4764314114754783,
+                                                               0.3000756078544657]
+
+
+def test_rv_check_refuses_scales_that_are_not_positive(capsys):
+    code, err = run_error(capsys, ["attract", "--law", '{"kind":"FreeTypeII","shape":2}',
+                                   "--type", "II", "--n", "10", "--rv-alpha", "2",
+                                   "--rv-scales=-10,-1"])
+    assert code == EXIT_LAW
+    assert err["error"]["message"] == "scale t=-10.0 must be positive and finite"
+
+
+def test_rv_check_refuses_offsets_beyond_the_support_width(capsys):
+    # FreeTypeIII lives on [-1, 0]: an offset h = 5 below the endpoint is off the support
+    code, err = run_error(capsys, ["attract", "--law", '{"kind":"FreeTypeIII","shape":2}',
+                                   "--type", "III", "--n", "10", "--rv-alpha", "2",
+                                   "--rv-scales", "5"])
+    assert code == EXIT_LAW
+    assert err["error"]["message"] == ("offset h=5.0 must be positive and below the support "
+                                       "width 1.0")
 
 
 # ----------------------------------------------------------------------
@@ -416,6 +459,36 @@ def test_scipy_loads_only_where_its_functions_run(tmp_path):
     assert seen[:5] == [[], [], [], [], []]
     assert "scipy.special" in seen[5]
     assert not [m for m in seen[5] if m.startswith(("scipy.integrate", "scipy.optimize"))]
+
+
+def test_closed_form_laws_run_without_integrate_or_optimize(tmp_path):
+    # every subcommand on laws with closed forms, the Type I mean excess
+    # included, stays clear of quad; a table's mean excess still needs it
+    runs = [
+        ["law", "--law", '{"kind":"ClassicalGumbel"}', "--out", "g.csv"],
+        ["conv", "--law", '{"kind":"FreeTypeI"}', "--law2", '{"kind":"StdNormal"}',
+         "--out", "c.csv"],
+        ["iterate", "--law", '{"kind":"StdNormal","location":0.4,"scale":1.37}', "--type", "I",
+         "--n", "100,10000", "--out", "i.json"],
+        ["iterate", "--law", '{"kind":"FreeTypeI"}', "--type", "I", "--n", "10,1000000",
+         "--out", "t.json"],
+        ["stable", "--law", '{"kind":"FreeTypeIII","shape":1.5}', "--k", "3", "--out", "s.json"],
+        ["attract", "--law", '{"kind":"ClassicalGumbel","location":1,"scale":2}', "--type", "I",
+         "--n", "100,10000", "--out", "a.json"],
+        ["attract", "--law", '{"kind":"FreeTypeI","scale":0.7}', "--type", "I",
+         "--n", "100,10000", "--out", "e.json"],
+        ["pot", "--law", '{"kind":"FreeTypeII","shape":2}', "--gamma", "0.5",
+         "--u-list", "2,4", "--out", "p.json"],
+        ["law", "--law", '{"kind":"StdNormal"}', "--grid=-8,8,17", "--out", "n.csv"],
+        ["attract", "--law-csv", "n.csv", "--type", "I", "--n", "10,100", "--out", "q.json"],
+    ]
+    code = "from freemax.cli import dispatch\n" + "".join(
+        f"assert dispatch({argv!r}) == 0\nSHOW\n" for argv in runs
+    )
+    seen = _scipy_modules_after(code, tmp_path)
+    for loaded in seen[:-1]:
+        assert not [m for m in loaded if m.startswith(("scipy.integrate", "scipy.optimize"))]
+    assert "scipy.integrate" in seen[-1]
 
 
 def test_unknown_subcommand_error(capsys):
