@@ -213,8 +213,9 @@ def rv_check(
     ``at_infinity`` compares Fbar(t x)/Fbar(t) with x^(-alpha) for t in
     ``scale_list``, each positive and finite; ``at_endpoint`` compares
     Fbar(omega - x h)/Fbar(omega - h) with x^alpha for h in ``scale_list``
-    (finite endpoint required), each positive and below the support width
-    omega - alpha, through ``tail_gap`` so that omega - x h never cancels.
+    (finite endpoint required), each positive and, with every offset x h,
+    below the support width omega - alpha, through ``tail_gap`` so that
+    omega - x h never cancels.
     """
     if not (alpha > 0 and math.isfinite(alpha)):
         raise CdfError("regular variation exponent must be positive and finite")
@@ -237,6 +238,9 @@ def rv_check(
             within = "finite" if bound == math.inf else f"below the support width {bound!r}"
             raise CdfError(f"{label}={s} must be positive and {within}")
         for x in x_list:
+            if mode == "at_endpoint" and not s * x < bound:
+                raise CdfError(f"offset x*h={s * x!r} (x={x!r}, h={s!r}) must be below the "
+                               f"support width {bound!r}")
             worst = max(worst, abs(tail_at(s * x) / base - _rv_power(x, exponent)))
     return worst
 

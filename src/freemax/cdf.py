@@ -504,8 +504,9 @@ class AffineCdf(Cdf):
 
     def __init__(self, parent: Cdf, a: float, b: float):
         super().__init__()
-        if not a > 0:
-            raise CdfError("rescale requires a > 0")
+        if not (0.0 < a < math.inf and math.isfinite(b)):
+            raise CdfError(f"rescale requires a finite map x -> a x + b with a > 0, "
+                           f"got a={a!r}, b={b!r}")
         self.parent = parent
         self.a = float(a)
         self.b = float(b)
@@ -866,12 +867,34 @@ def ks_distance(samples: np.ndarray, f: Cdf) -> float:
 # ----------------------------------------------------------------------
 # file interfaces
 # ----------------------------------------------------------------------
+def _float_reprs(values, spell=repr) -> list[str]:
+    """The text of each double, in one orjson (Ryu) call: ``float.__repr__``'s bytes.
+
+    Ryu gives the shortest round-trip digits, as CPython's repr does, and
+    orjson lays them out as repr does for 0 and for 1e-4 <= |v| < 1e16.
+    Outside that band it writes ``1e16``, ``0.00005`` and ``null`` for
+    NaN and inf, so those cells are spelled by ``spell`` instead: ``repr``
+    for CSV, ``json.dumps`` for JSON (``NaN``, ``Infinity``).
+    """
+    import orjson  # deferred, like scipy: only table writers load it
+
+    a = np.ascontiguousarray(values, dtype=float).ravel()
+    if a.size == 0:
+        return []
+    cells = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    mag = np.abs(a)
+    outside = np.flatnonzero(~(((mag >= 1e-4) & (mag < 1e16)) | (a == 0.0)))
+    for i, text in zip(outside.tolist(), map(spell, a[outside].tolist())):
+        cells[i] = text
+    return cells
+
+
 def cdf_table_text(f: Cdf, grid: np.ndarray) -> str:
     """Rows ``x,F`` at the grid points in the format ``csv.writer`` gives:
     a header, float reprs, CRLF ends."""
     grid = _as_float_array(grid)
-    rows = zip(grid.tolist(), np.asarray(f.value(grid)).tolist())
-    return "x,F\r\n" + "".join(f"{x!r},{v!r}\r\n" for x, v in rows)
+    rows = zip(_float_reprs(grid), _float_reprs(f.value(grid)))
+    return "\r\n".join(["x,F", *map(",".join, rows)]) + "\r\n"
 
 
 def write_cdf_table(f: Cdf, grid: np.ndarray, path: str) -> str:

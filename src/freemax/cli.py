@@ -30,6 +30,7 @@ from .attraction import (
 from .cdf import (
     Cdf,
     CdfError,
+    _float_reprs,
     cdf_table_text,
     classical_max_conv,
     comparison_grid,
@@ -116,8 +117,9 @@ def _parse_grid(spec: Optional[str], *cdfs: Cdf, size: int = 2001) -> np.ndarray
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise CliError(EXIT_USAGE, f"--grid expects numbers 'lo,hi,count', got {spec!r}")
-    if not (-math.inf < lo < hi < math.inf and count >= 2):
-        raise CliError(EXIT_USAGE, "--grid needs finite lo < hi and count >= 2")
+    if not (lo < hi and math.isfinite(hi - lo) and count >= 2):
+        raise CliError(EXIT_USAGE, "--grid needs finite lo < hi, a finite span hi - lo "
+                                   "and count >= 2")
     return np.linspace(lo, hi, count)
 
 
@@ -187,8 +189,9 @@ def _write_output(document: dict, out: Optional[str]) -> None:
     _write_text(json.dumps(document, sort_keys=True, indent=2) + "\n", out)
 
 
-#: one ``{"x": x, "F": v}`` row of the JSON table as ``indent=2`` lays it out
-_TABLE_ROW = '      {{\n        "F": {},\n        "x": {}\n      }}'
+#: one ``{"x": x, "F": v}`` row of the JSON table as ``indent=2`` lays it
+#: out: the text before, between and after its two cells
+_ROW_HEAD, _ROW_MID, _ROW_TAIL = '      {\n        "F": ', ',\n        "x": ', '\n      }'
 
 
 def _write_table(f: Cdf, grid: np.ndarray, out: Optional[str], fmt: str, args_dict: dict) -> None:
@@ -198,12 +201,12 @@ def _write_table(f: Cdf, grid: np.ndarray, out: Optional[str], fmt: str, args_di
         else:
             write_cdf_table(f, grid, out)
         return
-    # the cells through json's C encoder (the float reprs, NaN and Infinity
-    # that json.dumps gives), spliced into the dumped skeleton: the same
-    # bytes as dumping the whole table with indent=2
-    values, xs = (json.dumps(np.asarray(a, dtype=float).tolist())[1:-1].split(", ")
-                  for a in (f.value(grid), grid))
-    rows = ",\n".join(_TABLE_ROW.format(v, x) for v, x in zip(values, xs))
+    # the cells as json.dumps spells them (the float reprs, NaN and
+    # Infinity), spliced into the dumped skeleton: the same bytes as
+    # dumping the whole table with indent=2
+    values, xs = (_float_reprs(a, json.dumps) for a in (f.value(grid), grid))
+    cells = (_ROW_TAIL + ",\n" + _ROW_HEAD).join(map(_ROW_MID.join, zip(values, xs)))
+    rows = _ROW_HEAD + cells + _ROW_TAIL
     skeleton = json.dumps(_report({"table": []}, args_dict), sort_keys=True, indent=2)
     _write_text(skeleton.replace('"table": []', f'"table": [\n{rows}\n    ]') + "\n", out)
 

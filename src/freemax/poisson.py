@@ -356,19 +356,26 @@ class ProcessReport:
         }
 
 
-def _gram_eigenvalues(blocks: list) -> np.ndarray:
-    """Eigenvalues of sum_j B_j B_j^T from the smaller Gram matrix.
+def _gram(blocks: list) -> np.ndarray:
+    """The smaller Gram matrix of the blocks side by side, for the
+    eigenvalues of sum_j B_j B_j^T.
 
     With Gamma the blocks side by side (N x C), Gamma^T Gamma and
     Gamma Gamma^T share their nonzero eigenvalues; when C < N the C x C
     side is solved, which drops N - C zeros but no range direction.
     """
     if not blocks:
-        return np.zeros(0)
+        return np.zeros((0, 0))
     gamma = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
     n, c = gamma.shape
-    gram = gamma.T @ gamma if c < n else gamma @ gamma.T
-    return np.linalg.eigvalsh(gram)
+    return gamma.T @ gamma if c < n else gamma @ gamma.T
+
+
+def _read_last(arrays: dict, subset: tuple, i: int, last: dict) -> list:
+    """The subset's arrays; those that no subset after the i-th reads leave
+    ``arrays``, so they are freed once the Gram is formed, before its
+    eigensolve."""
+    return [arrays.pop(a) if last[a] == i else arrays[a] for a in subset if a in arrays]
 
 
 def extremal_process_report(
@@ -399,15 +406,19 @@ def extremal_process_report(
     in_joins = {atom for subset in canonical if len(subset) > 1 for atom in subset}
     spectra = [[] for _ in canonical]  # per subset, per trial: the nonzero eigenvalues
     join_ok = [True] * len(canonical)
+    # the index of the last subset that reads each atom's block, and its basis
+    last_block = {atom: i for i, subset in enumerate(canonical) for atom in subset}
+    last_basis = {atom: i for i, subset in enumerate(canonical) if len(subset) > 1
+                  for atom in subset}
     for t in range(trials):
         blocks = _subset_blocks(partition, named, n, derive_seed(seed, t))
         if t == 0:
             bases = {atom: np.linalg.qr(blocks[atom])[0] for atom in in_joins & blocks.keys()}
         for i, subset in enumerate(canonical):
-            lam = _gram_eigenvalues([blocks[a] for a in subset if a in blocks])
+            lam = np.linalg.eigvalsh(_gram(_read_last(blocks, subset, i, last_block)))
             spectra[i].append(lam[_range_mask(lam)])
             if t == 0 and len(subset) > 1:
-                join = _gram_eigenvalues([bases[a] for a in subset if a in bases])
+                join = np.linalg.eigvalsh(_gram(_read_last(bases, subset, i, last_basis)))
                 join_ok[i] = spectra[i][0].size == join[_range_mask(join)].size
     records = []
     for subset, spectrum, ok in zip(canonical, spectra, join_ok):

@@ -16,14 +16,13 @@ derived seeds make every randomized experiment replayable.
 """
 from __future__ import annotations
 
-import csv
 import math
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .cdf import CdfError, SteppedCdf
+from .cdf import CdfError, SteppedCdf, _float_reprs
 
 __all__ = [
     "HermitianMatrix",
@@ -608,10 +607,11 @@ def empirical_spectral_cdf(a: HermitianMatrix) -> SteppedCdf:
 # ----------------------------------------------------------------------
 def write_matrix_csv(a: HermitianMatrix, path: str) -> str:
     """Dense entries, row-major, one matrix row per CSV row."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in np.asarray(a.array, dtype=float):
-            writer.writerow([repr(float(v)) for v in row])
+    array = np.asarray(a.array, dtype=float)
+    cells = _float_reprs(array)
+    width = array.shape[1]
+    rows = (",".join(cells[i:i + width]) for i in range(0, len(cells), width))
+    _write_rows(path, rows)
     return path
 
 
@@ -621,9 +621,12 @@ def read_matrix_csv(path: str) -> HermitianMatrix:
 
 def write_eigenvalues_csv(a: HermitianMatrix, path: str) -> str:
     """Compact spectral export: rows ``index,lambda``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "lambda"])
-        for i, lam in enumerate(a.eigenvalues):
-            writer.writerow([i, repr(float(lam))])
+    rows = (f"{i},{lam}" for i, lam in enumerate(_float_reprs(a.eigenvalues)))
+    _write_rows(path, ["index,lambda", *rows])
     return path
+
+
+def _write_rows(path: str, rows) -> None:
+    """CSV rows with ``csv.writer``'s CRLF ends, in one write."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(row + "\r\n" for row in rows))

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import warnings
 
@@ -19,6 +20,7 @@ from freemax.cdf import (
     FunctionCdf,
     SteppedCdf,
     atom_decomposition_max,
+    cdf_table_text,
     classical_max_conv,
     comparison_grid,
     empirical_cdf,
@@ -283,6 +285,10 @@ def test_rescale_uniform_support():
 def test_rescale_rejects_nonpositive_scale():
     with pytest.raises(CdfError):
         rescale(UniformCdf(), 0.0, 1.0)
+    # and a map that is no pair of doubles, also where a composition overflows
+    for a, b in ((math.inf, 0.0), (1.0, -math.inf), (1.0, math.nan), (1e200, 0.0)):
+        with pytest.raises(CdfError, match="finite map"):
+            rescale(rescale(UniformCdf(), 1e200, 1.0), a, b)
 
 
 # leaves of the push-down tests: the folding leaves, a make_law shifted
@@ -371,7 +377,7 @@ def test_rescale_rebuilds_the_convolutions_bit_for_bit(first, second, a, b):
         _assert_bits(lower.left(x), np.minimum(fl(x) + gl(x), 1.0))
 
 
-@pytest.mark.parametrize("a", [0.0, -0.0, -1.5, math.nan])
+@pytest.mark.parametrize("a", [0.0, -0.0, -1.5, math.nan, math.inf])
 def test_affine_evaluation_rejects_a_nonpositive_scale(a):
     u = UniformCdf()
     for f in (u, PUSH_LEAVES["shifted_uniform"], free_max_power(u, 3.0),
@@ -1046,6 +1052,47 @@ def test_cdf_table_round_trip(tmp_path):
         for x, v in zip(grid, np.asarray(f.value(grid))):
             writer.writerow([repr(float(x)), repr(float(v))])
         assert (tmp_path / "pareto.csv").read_bytes() == reference.getvalue().encode("utf-8")
+
+
+def _oracle_doubles():
+    """Random bit patterns, values inside the shortest-repr band, the band
+    edges, the extremes of the doubles, signed zeros and the non-finite."""
+    rng = np.random.default_rng(24)
+    # repr takes 2-3 us on a random pattern, so 4e4 of them keep the test under 1 s
+    bits = rng.integers(0, 2**64, size=40_000, dtype=np.uint64).view(np.float64)
+    band = 10.0 ** rng.uniform(-4.2, 16.2, 50_000) * rng.choice([-1.0, 1.0], 50_000)
+    edges = [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 0.0, 5e-324,
+             2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
+             math.inf, 1.0, 0.1, 2.0**53]
+    subnormal = np.linspace(5e-324, 2.225073858507201e-308, 1001)
+    return np.concatenate([bits, band, edges, np.negative(edges), subnormal, [math.nan]])
+
+
+def test_float_reprs_spell_every_double_as_repr_and_json_do():
+    values = _oracle_doubles()
+    listed = values.tolist()
+    assert cdf_module._float_reprs(values) == [repr(v) for v in listed]
+    assert cdf_module._float_reprs(values, json.dumps) == json.dumps(listed)[1:-1].split(", ")
+    assert cdf_module._float_reprs(values[::-7].reshape(-1, 1)) == [repr(v) for v in listed[::-7]]
+    assert cdf_module._float_reprs(np.zeros(0)) == cdf_module._float_reprs([], json.dumps) == []
+
+
+def _f_string_table(f, grid):
+    """``cdf_table_text`` as one f-string per row of float reprs."""
+    rows = zip(grid.tolist(), np.asarray(f.value(grid)).tolist())
+    return "x,F\r\n" + "".join(f"{x!r},{v!r}\r\n" for x, v in rows)
+
+
+@pytest.mark.parametrize("kind", list(laws_module._CANONICAL), ids=lambda k: k.value)
+def test_table_text_is_the_f_string_rendering_on_every_canonical_law(kind):
+    shape = {LawKind.GENERALIZED_PARETO: -0.4}.get(kind, 1.7)
+    far = np.array([-math.inf, -1e300, -1e5, -1e-5, 0.0, 1e-5, 1e5, 1e300, math.inf])
+    for location, scale in ((0.0, 1.0), (-3.1, 2.0**-30), (1e200, 1e290)):
+        law = make_law(LawSpec(kind, shape=shape, location=location, scale=scale))
+        grid = comparison_grid(law)
+        with np.errstate(over="ignore"):  # the laws overflow harmlessly out at 1e300
+            for x in (grid, np.concatenate([grid, location + scale * far])):
+                assert cdf_table_text(law, x) == _f_string_table(law, x)
 
 
 def test_read_samples_plain_and_csv(tmp_path):

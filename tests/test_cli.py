@@ -242,6 +242,21 @@ def test_rv_check_refuses_offsets_beyond_the_support_width(capsys):
                                        "width 1.0")
 
 
+def test_rv_check_refuses_lattice_offsets_beyond_the_support_width(capsys):
+    # h = 0.5 lies inside [-1, 0], but the default --rv-x reaches 2 h = 1 and 4 h = 2,
+    # where the tail reads F at and below the lower endpoint (rv_deviation 12.0)
+    code, err = run_error(capsys, ["attract", "--law", '{"kind":"FreeTypeIII","shape":2}',
+                                   "--type", "III", "--n", "10", "--rv-alpha", "2",
+                                   "--rv-scales", "0.5"])
+    assert code == EXIT_LAW
+    assert err["error"]["message"] == ("offset x*h=1.0 (x=2.0, h=0.5) must be below the "
+                                       "support width 1.0")
+    doc = run_json(capsys, ["attract", "--law", '{"kind":"FreeTypeIII","shape":2}',
+                            "--type", "III", "--n", "10", "--rv-alpha", "2",
+                            "--rv-scales", "0.2", "--rv-x", "0.5,1,2,4.5"])
+    assert doc["payload"]["rv_deviation"] < 1e-12
+
+
 # ----------------------------------------------------------------------
 # pot
 # ----------------------------------------------------------------------
@@ -420,11 +435,12 @@ def test_json_table_is_the_indented_dump_bit_for_bit(capsys):
     assert '"F": NaN' in expected and '"F": -0.0' in expected and '"x": -Infinity' in expected
 
 
-def _scipy_modules_after(code, cwd):
-    """Run ``code`` in a fresh interpreter; return its printed lists of loaded scipy modules."""
+def _modules_after(code, cwd, package="scipy"):
+    """Run ``code`` in a fresh interpreter; return its printed lists of loaded
+    modules of ``package``."""
     src = os.path.dirname(os.path.dirname(freemax.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    show = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    show = f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))"
     script = "import json, sys\n" + code.replace("SHOW", show)
     done = subprocess.run([sys.executable, "-c", script], cwd=cwd, capture_output=True,
                           text=True, env=env, timeout=120)
@@ -433,7 +449,7 @@ def _scipy_modules_after(code, cwd):
 
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):
-    assert _scipy_modules_after("import freemax.cli\nSHOW", tmp_path) == [[]]
+    assert _modules_after("import freemax.cli\nSHOW", tmp_path) == [[]]
 
 
 def test_scipy_loads_only_where_its_functions_run(tmp_path):
@@ -455,10 +471,28 @@ def test_scipy_loads_only_where_its_functions_run(tmp_path):
     code = "from freemax.cli import dispatch\n" + "".join(
         f"assert dispatch({argv!r}) == 0\nSHOW\n" for argv in runs
     )
-    seen = _scipy_modules_after(code, tmp_path)
+    seen = _modules_after(code, tmp_path)
     assert seen[:5] == [[], [], [], [], []]
     assert "scipy.special" in seen[5]
     assert not [m for m in seen[5] if m.startswith(("scipy.integrate", "scipy.optimize"))]
+
+
+def test_orjson_loads_only_where_a_table_is_written(tmp_path):
+    # the import is deferred to the first table, so start-up and the
+    # pot and spectral runs do not pay for it
+    sample = np.random.default_rng(5).pareto(2.0, 200)
+    (tmp_path / "samples.txt").write_text("\n".join(repr(float(v)) for v in sample) + "\n")
+    runs = [
+        ["pot", "--samples", "samples.txt", "--u", "0.1", "--out", "pot.json"],
+        ["spectral", "--experiment", "conv_identity", "--N", "16", "--trials", "1",
+         "--seed", "7", "--out", "s.json"],
+        ["law", "--law", '{"kind":"Uniform"}', "--out", "u.csv"],
+    ]
+    code = "import freemax.cli\nSHOW\nfrom freemax.cli import dispatch\n" + "".join(
+        f"assert dispatch({argv!r}) == 0\nSHOW\n" for argv in runs
+    )
+    seen = _modules_after(code, tmp_path, "orjson")
+    assert seen[:3] == [[], [], []] and "orjson" in seen[3]
 
 
 def test_closed_form_laws_run_without_integrate_or_optimize(tmp_path):
@@ -485,7 +519,7 @@ def test_closed_form_laws_run_without_integrate_or_optimize(tmp_path):
     code = "from freemax.cli import dispatch\n" + "".join(
         f"assert dispatch({argv!r}) == 0\nSHOW\n" for argv in runs
     )
-    seen = _scipy_modules_after(code, tmp_path)
+    seen = _modules_after(code, tmp_path)
     for loaded in seen[:-1]:
         assert not [m for m in loaded if m.startswith(("scipy.integrate", "scipy.optimize"))]
     assert "scipy.integrate" in seen[-1]
@@ -551,6 +585,15 @@ def test_std_normal_default_grid_spans_tail_quantiles(capsys):
     assert xs[-1] == pytest.approx(3.719, abs=1e-3)
 
 
+@pytest.mark.parametrize("law", ['{"kind":"FreeTypeI","scale":5e-324}',
+                                 '{"kind":"Uniform","location":1e300,"scale":1e-10}'])
+def test_a_law_whose_affine_map_overflows_is_a_law_error(capsys, law):
+    # 1/scale or location/scale overflows to inf, which would make F(0) nan
+    code, err = run_error(capsys, ["law", "--law", law, "--grid", "0,1,3"])
+    assert code == EXIT_LAW
+    assert err["error"]["message"].startswith("rescale requires a finite map x -> a x + b")
+
+
 def test_seed_required_for_stochastic_commands(capsys):
     code, err = run_error(capsys, ["spectral", "--experiment", "pnorm"])
     assert code == EXIT_USAGE
@@ -569,6 +612,7 @@ def test_seed_required_for_stochastic_commands(capsys):
         ["law", "--law", '{"kind":"Uniform"}', "--grid", "0,1,nan"],
         ["law", "--law", '{"kind":"Uniform"}', "--grid", "0,inf,3"],
         ["law", "--law", '{"kind":"Uniform"}', "--grid", "a,1,3"],
+        ["law", "--law", '{"kind":"Uniform"}', "--grid=-1e300,1.7976931348623157e308,4"],
         ["spectral", "--experiment", "pnorm", "--seed", "-1"],
         ["attract", "--law", '{"kind":"FreeTypeI"}', "--type", "I", "--n", ","],
         ["spectral", "--experiment", "general_position", "--seed", "1", "--ranks", ","],
@@ -589,7 +633,8 @@ def test_seed_required_for_stochastic_commands(capsys):
          "--n", "10", "--rv-alpha", "1", "--rv-scales", ""],
     ],
     ids=["N_0", "trials_-1", "poisson_N_0", "poisson_trials_0", "grid_size_0", "grid_size_1",
-         "grid_size_word", "grid_count_nan", "grid_hi_inf", "grid_lo_word", "seed_-1",
+         "grid_size_word", "grid_count_nan", "grid_hi_inf", "grid_lo_word", "grid_span_inf",
+         "seed_-1",
          "empty_n", "empty_ranks", "tol_nan", "p_list_inf", "u_nan", "alpha_nan", "gamma_inf",
          "stable_k_1", "blank_ranks", "empty_p_list", "empty_u_list", "empty_rv_x",
          "blank_rv_scales"],
@@ -748,11 +793,19 @@ def test_inputs_hash_is_pinned_per_subcommand(tmp_path, monkeypatch, capsys, arg
 # ----------------------------------------------------------------------
 # fuzzing dispatch: any input gives a known exit code and never a traceback
 # ----------------------------------------------------------------------
-_TEXT = st.sampled_from(["0", "1", "2", "-1", "0.5", "3", "nan", "inf", "-inf", "abc", "", "1e300"])
+# the extremes of the doubles: huge, tiny, subnormal, the largest finite
+_EXTREME = ["1e300", "-1e300", "1e-300", "5e-324", "-1e-310", "1.7976931348623157e308", "1e16"]
+_TEXT = st.sampled_from(["0", "1", "2", "-1", "0.5", "3", "nan", "inf", "-inf", "abc", ""]
+                        + _EXTREME)
 _COUNT = st.sampled_from(["-1", "0", "1", "2", "3", "16", "64", "nan", "x"])
-_LIST = st.sampled_from(["2,10", "1", "0", "-3", "1000000", "x", "", "2,nan", "0.5,inf"])
+# --k only: a huge k sizes no array
+_K = st.sampled_from(["2", "7", "1000000", str(2**63), str(10**30)])
+_LIST = st.sampled_from(["2,10", "1", "0", "-3", "1000000", "x", "", "2,nan", "0.5,inf",
+                         str(2**53 + 1), str(10**30), "2," + str(2**64), "1e300", "1e-300,1e300",
+                         "5e-324", "0.5,2,1e16"])
 _JSON_VALUE = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 0.5, 1.0, 2.0, 1e-300, 1e300]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 0.5, 1.0, 2.0, 1e-300, 1e300,
+                     -1e300, 5e-324, 1e-310, -1e-310, 1.7976931348623157e308, 1e16, 1e-5]),
     st.floats(-10.0, 10.0),
     st.text(max_size=3),
     st.none(),
@@ -773,17 +826,20 @@ def _law_json(draw):
 
 @st.composite
 def _grid_flags(draw):
-    choice = draw(st.integers(0, 2))
+    choice = draw(st.integers(0, 3))
     if choice == 1:
         return ["--grid-size", draw(st.sampled_from(["-1", "0", "1", "2", "3", "300", "x"]))]
     if choice == 2:
         count = draw(st.sampled_from(["-1", "0", "1", "2", "3", "300", "nan", "x"]))
-        return ["--grid", f"{draw(_TEXT)},{draw(_TEXT)},{count}"]
+        return [f"--grid={draw(_TEXT)},{draw(_TEXT)},{count}"]  # "=": lo may start with "-"
+    if choice == 3:  # a grid among the subnormals
+        ends = st.sampled_from(["0", "5e-324", "-5e-324", "1e-320", "2.225073858507201e-308"])
+        return [f"--grid={draw(ends)},{draw(ends)},{draw(st.sampled_from(['2', '3', '300']))}"]
     return []
 
 
 def _optional(draw, flag, strategy):
-    return [flag, draw(strategy)] if draw(st.booleans()) else []
+    return [f"{flag}={draw(strategy)}"] if draw(st.booleans()) else []
 
 
 _DUMP = "eigs.csv"  # an output file name in argv
@@ -813,8 +869,9 @@ def _invocations(draw):
             argv += draw(_grid_flags())
         else:
             argv += _optional(draw, "--rv-alpha", _TEXT) + _optional(draw, "--rv-x", _LIST)
+            argv += _optional(draw, "--rv-scales", _LIST)
     elif command == "stable":
-        argv = ["stable", "--law", draw(_law_json()), "--k", draw(_COUNT)]
+        argv = ["stable", "--law", draw(_law_json()), "--k", draw(st.one_of(_COUNT, _K))]
         argv += _optional(draw, "--tol", _TEXT)
     elif command == "pot":
         if draw(st.booleans()):
@@ -833,7 +890,8 @@ def _invocations(draw):
         argv += _optional(draw, "--ranks", st.sampled_from(["1,2", "0", "100", "x"]))
         argv += _optional(draw, "--p-list", st.sampled_from(["16", "nan", "0", "-1", "inf"]))
     else:
-        masses = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.5, -1.0, math.nan, math.inf]),
+        masses = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.5, -1.0, math.nan, math.inf, 5e-324,
+                                            7.9, 15.99, 16.0, 16.5, 1e300]),
                            st.text(max_size=2), st.none())
         atoms = [{"id": i, "mass": draw(masses)} for i in draw(st.lists(
             st.sampled_from(["1", "2", "a"]), max_size=3))]
@@ -842,7 +900,7 @@ def _invocations(draw):
                 "--subsets", draw(st.sampled_from(["1", "1;2", "1,2", "1,", ",", "z", ";", ""])),
                 "--trials", draw(st.sampled_from(["0", "1", "2"])),
                 "--seed", draw(st.sampled_from(["3", "-1"]))]
-        argv += _optional(draw, "--dump-eigs", st.just(_DUMP))
+        argv += ["--dump-eigs", _DUMP] if draw(st.booleans()) else []
     return argv, files
 
 
@@ -855,9 +913,11 @@ def test_dispatch_fuzz_exits_cleanly(tmp_path, capsys, invocation):
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in files or a == _DUMP else a for a in argv]
     code = dispatch(argv)
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code in (0, 2, 3, 4), argv  # exit 5 is an internal error
     assert "Traceback" not in err
+    if code == 0 and argv[0] in ("law", "conv"):
+        assert "nan" not in out.lower(), argv  # every table cell is a number
     if code:
         lines = err.splitlines()
         assert len(lines) == 1, argv

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -338,6 +339,31 @@ def test_process_report_draws_each_atom_block_once_per_trial(monkeypatch):
     assert len(set(drawn)) == 6
 
 
+def test_process_report_frees_each_block_before_its_last_eigensolve(monkeypatch):
+    drawn, alive = [], []  # weak references to the blocks; live blocks at each eigensolve
+    atom_block, eigvalsh = poisson._atom_block, np.linalg.eigvalsh
+
+    def tracked(index, count, n, seed):
+        block = atom_block(index, count, n, seed)
+        drawn.append(weakref.ref(block))
+        return block
+
+    def counting(a):
+        alive.append(sum(ref() is not None for ref in drawn))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(poisson, "_atom_block", tracked)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    part = Partition.from_pairs([("a", 0.31), ("b", 0.43)])
+    extremal_process_report(part, [["a"], ["b"], ["a"]], 64, 2, 5)
+    assert alive == [2, 1, 0] * 2  # a block lives until the last subset that reads it
+    drawn.clear()
+    alive.clear()
+    report = extremal_process_report(part, [["a", "b"], ["a"]], 64, 2, 5)
+    assert alive == [1, 1, 0, 1, 0]  # trial 0 also solves the join of the two bases
+    assert all(r.join_additivity_ok for r in report.records)
+
+
 def test_process_report_makes_no_svd_call(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the report called numpy.linalg.svd")
@@ -360,7 +386,8 @@ def test_gram_eigenvalues_of_a_lone_block_are_those_of_its_copy(count):
     block = poisson._atom_block(0, count, 64, 5)
     gamma = np.hstack([block])
     gram = gamma.T @ gamma if count < 64 else gamma @ gamma.T
-    assert poisson._gram_eigenvalues([block]).tobytes() == np.linalg.eigvalsh(gram).tobytes()
+    lam = np.linalg.eigvalsh(poisson._gram([block]))
+    assert lam.tobytes() == np.linalg.eigvalsh(gram).tobytes()
 
 
 @pytest.mark.parametrize("n", [64, 250])

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -952,6 +953,18 @@ def test_matrix_csv_round_trip(tmp_path):
     rows = list(_csv.reader(open(eig_path)))
     assert rows[0] == ["index", "lambda"]
     np.testing.assert_allclose([float(r[1]) for r in rows[1:]], a.eigenvalues)
+    # the bytes are those of csv.writer over float reprs, also outside the
+    # band 1e-4 <= |v| < 1e16 where the formatter hands cells to repr
+    wide = HermitianMatrix(np.diag([-1e17, -1e-5, -0.0, 5e-324, 0.5, 1e16]))
+    for m in (a, wide):
+        write_matrix_csv(m, path)
+        write_eigenvalues_csv(m, eig_path)
+        matrix, eigs = io.StringIO(newline=""), io.StringIO(newline="")
+        _csv.writer(matrix).writerows([repr(float(v)) for v in row] for row in m.array)
+        _csv.writer(eigs).writerows([["index", "lambda"]] + [
+            [i, repr(float(lam))] for i, lam in enumerate(m.eigenvalues)])
+        assert open(path, "rb").read() == matrix.getvalue().encode()
+        assert open(eig_path, "rb").read() == eigs.getvalue().encode()
 
 
 def test_logexp_esd_converges_to_free_conv():
