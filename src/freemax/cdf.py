@@ -218,14 +218,14 @@ class Cdf:
     both: each defaults to one minus the other, so a subclass must
     override at least one.  Laws whose tail is the native quantity (the
     convolution and iteration formulas amplify it) implement ``_tail``.
-    ``_left``, ``_quantile``, ``_tail_gap`` and ``_tail_integral`` are
-    overridden where a closed or numerically stabler form exists.  The
-    affine-argument hooks ``_value_affine``/``_tail_affine`` give F(a x + b)
-    and 1 - F(a x + b), and ``_tail_integral_affine`` the tail integral from
-    a x + b; leaf laws fold the map into their formula where that avoids
-    cancellation, and ``AffineCdf`` (built by ``rescale``) is their only
-    caller.  Instances are immutable; all operations are pure, so
-    concurrent reads are safe.
+    ``_left``, ``_quantile`` and ``_tail_integral`` are overridden where a
+    closed or numerically stabler form exists.  The affine-argument hooks
+    ``_tail_affine`` and ``_tail_integral_affine`` give 1 - F(a x + b) and
+    the tail integral from a x + b; a leaf with a finite endpoint folds
+    the map into its one endpoint formula there, and the endpoint-gap
+    tail ``_tail_gap(h)`` is that hook at x -> x + omega, read at -h.
+    Instances are immutable; all operations are pure, so concurrent reads
+    are safe.
     """
 
     def __init__(self):
@@ -245,15 +245,12 @@ class Cdf:
         # continuous laws: left limit equals the value
         return self._value(x)
 
-    def _value_affine(self, a: float, b: float, x: np.ndarray) -> np.ndarray:
-        return self._value(a * x + b)
-
     def _tail_affine(self, a: float, b: float, x: np.ndarray) -> np.ndarray:
         return self._tail(a * x + b)
 
     def _tail_gap(self, h: np.ndarray) -> np.ndarray:
-        # tail at omega - h; overridden where the difference would cancel
-        return self._tail(self.omega - h)
+        # tail at omega - h, through the leaf's endpoint formula
+        return self._tail_affine(1.0, self.omega, -h)
 
     def _tail_integral(self, t: float) -> Optional[float]:
         """The integral of the tail over (t, omega), t a float below omega,
@@ -499,8 +496,8 @@ def empirical_cdf(samples: Iterable[float]) -> SteppedCdf:
 # derived CDFs: the extremal convolution calculus
 # ----------------------------------------------------------------------
 class AffineCdf(Cdf):
-    """x -> F(a*x + b) for a > 0, built by ``rescale``; the one caller of
-    the parent's affine hooks."""
+    """x -> F(a*x + b) for a > 0, built by ``rescale``: the parent's value
+    at a x + b, and its tail through the parent's affine hooks."""
 
     def __init__(self, parent: Cdf, a: float, b: float):
         super().__init__()
@@ -514,7 +511,7 @@ class AffineCdf(Cdf):
         self._omega_cache = (parent.omega - self.b) / self.a
 
     def _value(self, x):
-        return self.parent._value_affine(self.a, self.b, x)
+        return self.parent._value(self.a * x + self.b)
 
     def _tail(self, x):
         return self.parent._tail_affine(self.a, self.b, x)
@@ -736,10 +733,10 @@ def rescale(f: Cdf, a: float, b: float) -> Cdf:
     The map commutes with the pointwise operations, so it moves down the
     lazy tree: a rescaled ``AffineCdf`` composes the two maps, a free max
     power or extremal convolution is rebuilt over rescaled arguments, and
-    any other law is wrapped in ``AffineCdf``, whose parent evaluates the
-    map in its affine hooks.  Values and tails are thus each leaf's hook
-    at the composed map; endpoints and quantiles of a rebuilt law are
-    those of the rebuilt law, solved when first read.
+    any other law is wrapped in ``AffineCdf``.  Values and tails are thus
+    each leaf's value at, and tail hook at, the composed map; endpoints
+    and quantiles of a rebuilt law are those of the rebuilt law, solved
+    when first read.
     """
     if isinstance(f, AffineCdf):
         return AffineCdf(f.parent, f.a * a, f.a * b + f.b)
@@ -842,7 +839,11 @@ def comparison_grid(*cdfs: Cdf, n: int = 2001) -> np.ndarray:
         raise CdfError("the tail quantiles do not span a finite range; give an explicit grid")
     if hi - lo < 1e-12:
         lo, hi = lo - 1.0, hi + 1.0
-    return np.linspace(lo, hi, n)
+    grid = np.linspace(lo, hi, n)
+    if (grid[1:] <= grid[:-1]).any():
+        raise CdfError(f"{n} grid points from {lo!r} to {hi!r} repeat: the doubles there "
+                       "are too coarse; give an explicit grid")
+    return grid
 
 
 def sup_distance(f: Cdf, g: Cdf, grid: np.ndarray) -> float:

@@ -120,7 +120,10 @@ def _parse_grid(spec: Optional[str], *cdfs: Cdf, size: int = 2001) -> np.ndarray
     if not (lo < hi and math.isfinite(hi - lo) and count >= 2):
         raise CliError(EXIT_USAGE, "--grid needs finite lo < hi, a finite span hi - lo "
                                    "and count >= 2")
-    return np.linspace(lo, hi, count)
+    grid = np.linspace(lo, hi, count)
+    if (grid[1:] <= grid[:-1]).any():
+        raise CliError(EXIT_USAGE, f"--grid {spec!r} repeats points: the doubles are too coarse")
+    return grid
 
 
 def _int_at_least(minimum: int):

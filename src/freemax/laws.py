@@ -146,45 +146,35 @@ def _endpoint_gap(omega: float, a: float, b: float, t: float) -> float:
 
 
 class UniformCdf(Cdf):
-    def __init__(self, lo: float = 0.0, hi: float = 1.0):
+    """Uniform law on [0, 1]; other intervals are its ``rescale`` images."""
+
+    def __init__(self):
         super().__init__()
-        if not hi > lo:
-            raise CdfError("uniform law needs hi > lo")
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.width = self.hi - self.lo
-        self._alpha_cache = self.lo
-        self._omega_cache = self.hi
+        self._alpha_cache = 0.0
+        self._omega_cache = 1.0
 
     def _value(self, x):
-        return np.clip((x - self.lo) / self.width, 0.0, 1.0)
+        return np.clip(x, 0.0, 1.0)
 
     def _tail(self, x):
-        return np.clip((self.hi - x) / self.width, 0.0, 1.0)
+        return np.clip(1.0 - x, 0.0, 1.0)
 
-    # affine arguments folded into the endpoint differences: keeps
-    # (hi - b) exact when b is the endpoint itself, avoiding the
-    # cancellation that an explicit a*x + b intermediate would cause
-    def _value_affine(self, a, b, x):
-        return np.clip(((b - self.lo) + a * x) / self.width, 0.0, 1.0)
-
+    # the affine argument folded into the gap to the endpoint: (1 - b) is
+    # exact when b is the endpoint itself, where 1 - (a x + b) would cancel
     def _tail_affine(self, a, b, x):
-        return np.clip(((self.hi - b) - a * x) / self.width, 0.0, 1.0)
-
-    def _tail_gap(self, h):
-        return np.clip(h / self.width, 0.0, 1.0)
+        return np.clip((1.0 - b) - a * x, 0.0, 1.0)
 
     def _tail_integral(self, t):
         return self._tail_integral_affine(1.0, 0.0, t)
 
     def _tail_integral_affine(self, a, b, t):
-        gap = _endpoint_gap(self.hi, a, b, t)
-        if gap > self.width:
-            return gap - 0.5 * self.width
+        gap = _endpoint_gap(1.0, a, b, t)
+        if gap > 1.0:
+            return gap - 0.5
         return float(self._tail_affine(a, b, np.array([t]))[0]) * gap / 2.0
 
     def _quantile(self, p):
-        return self.lo + p * self.width
+        return p
 
 
 class ParetoCdf(Cdf):
@@ -230,7 +220,7 @@ class BetaPowerCdf(Cdf):
         self._omega_cache = 0.0
 
     def _tail(self, x):
-        return np.clip(np.abs(np.minimum(x, 0.0)) ** self.shape, 0.0, 1.0)
+        return np.abs(np.clip(x, -1.0, 0.0)) ** self.shape
 
     def _tail_integral(self, t):
         return self._tail_integral_affine(1.0, 0.0, t)
@@ -260,8 +250,8 @@ class GpdCdf(Cdf):
         xp = np.maximum(x, 0.0)
         if g == 0.0:
             return -xp
-        arg = np.maximum(1.0 + g * xp, 0.0)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
+            arg = np.maximum(1.0 + g * xp, 0.0)
             return np.where(arg > 0.0, -np.log(arg) / g, -math.inf)
 
     def _tail(self, x):
@@ -295,11 +285,12 @@ class GumbelCdf(Cdf):
         self._alpha_cache = -math.inf
         self._omega_cache = math.inf
 
+    # exp(-exp(709)) is already 0, so the inner exp need not overflow
     def _value(self, x):
-        return np.exp(-np.exp(-x))
+        return np.exp(-np.exp(-np.maximum(x, -709.0)))
 
     def _tail(self, x):
-        return -np.expm1(-np.exp(-x))
+        return -np.expm1(-np.exp(-np.maximum(x, -709.0)))
 
     def _tail_integral(self, t):
         # Ein(z) at z = exp(-t) (DLMF 6.6.4), as the tail 1 - exp(-z) times
@@ -359,11 +350,13 @@ class WeibullCdf(Cdf):
 
     def _value(self, x):
         neg = np.minimum(x, 0.0)
-        return np.where(x >= 0.0, 1.0, np.exp(-(np.abs(neg) ** self.shape)))
+        with np.errstate(over="ignore"):
+            return np.where(x >= 0.0, 1.0, np.exp(-(np.abs(neg) ** self.shape)))
 
     def _tail(self, x):
         neg = np.minimum(x, 0.0)
-        return np.where(x >= 0.0, 0.0, -np.expm1(-(np.abs(neg) ** self.shape)))
+        with np.errstate(over="ignore"):
+            return np.where(x >= 0.0, 0.0, -np.expm1(-(np.abs(neg) ** self.shape)))
 
     def _quantile(self, p):
         with np.errstate(divide="ignore"):

@@ -249,19 +249,19 @@ class TriangularCdf(Cdf):
         self._alpha_cache = max(0.0, 1.0 - 1.0 / self.m)
         self._omega_cache = 1.0
 
+    # m x past the largest double is clipped, so its overflow is harmless
     def _value(self, x):
-        return np.where(x < 0.0, 0.0, np.clip((1.0 - self.m) + self.m * x, 0.0, 1.0))
+        with np.errstate(over="ignore"):
+            return np.where(x < 0.0, 0.0, np.clip((1.0 - self.m) + self.m * x, 0.0, 1.0))
 
     def _tail(self, x):
-        return np.where(x < 0.0, 1.0, np.clip(self.m * (1.0 - x), 0.0, 1.0))
+        return self._tail_affine(1.0, 0.0, x)
 
     def _tail_affine(self, a, b, x):
-        inner = np.clip(self.m * ((1.0 - b) - a * x), 0.0, 1.0)
+        # tail 1 below the atom at zero; at the gap map (1, 1, -h), h > 1
+        with np.errstate(over="ignore"):
+            inner = np.clip(self.m * ((1.0 - b) - a * x), 0.0, 1.0)
         return np.where(a * x + b < 0.0, 1.0, inner)
-
-    def _tail_gap(self, h):
-        # h > 1 puts 1 - h below the atom at zero, where the tail is 1
-        return np.where(h > 1.0, 1.0, np.clip(self.m * h, 0.0, 1.0))
 
     def _left(self, x):
         vals = self._value(x)

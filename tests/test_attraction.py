@@ -146,7 +146,7 @@ def _reference_mean_excess(law, t):
         elif isinstance(law, BetaPowerCdf):
             g_s = -s / (Decimal(law.shape) + 1)
         elif isinstance(law, UniformCdf):
-            g_s = (Decimal(law.hi) - s) / 2
+            g_s = (1 - s) / 2
         elif isinstance(law, StdNormalCdf):
             g_s = _normal_mean_excess(s)
         else:

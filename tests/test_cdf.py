@@ -53,7 +53,7 @@ from freemax.laws import (
     make_law,
     standard_cauchy,
 )
-from freemax.poisson import mp_cdf, triangular_law_cdf
+from freemax.poisson import TriangularCdf, mp_cdf, triangular_law_cdf
 
 UNIT_GRID = np.linspace(-0.5, 1.5, 801)
 
@@ -106,6 +106,13 @@ def test_comparison_grid_rejects_an_infinite_span():
         comparison_grid(short)
     with pytest.raises(CdfError):
         comparison_grid(UniformCdf(), short)
+
+
+def test_comparison_grid_rejects_points_that_repeat():
+    # 1e17 + 1 rounds to 1e17: the support is narrower than a double's spacing
+    with pytest.raises(CdfError, match="repeat"):
+        comparison_grid(rescale(UniformCdf(), 1.0, -1e17), n=3)
+    assert np.all(np.diff(comparison_grid(rescale(UniformCdf(), 1.0, -1e15), n=3)) > 0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -306,11 +313,25 @@ PUSH_MAPS = [(1.5, -0.25), (0.37, 0.8), (3.0, -1.0)]
 
 def _leaf_hooks(f, a, b):
     """value, tail and left of x -> f(a x + b), written out from the leaf's
-    hooks at the composed map."""
+    formulas at the composed map: the uniform and triangular tails take
+    the gap (1 - b) - a x to their endpoint 1, every other hook reads the
+    leaf at a x + b."""
     if isinstance(f, cdf_module.AffineCdf):
         f, a, b = f.parent, f.a * a, f.a * b + f.b
-    return (lambda x: f._value_affine(a, b, x), lambda x: f._tail_affine(a, b, x),
-            lambda x: f._left(a * x + b))
+
+    def left(x):
+        return f._left(a * x + b)
+
+    if isinstance(f, UniformCdf):
+        return (lambda x: np.clip(a * x + b, 0.0, 1.0),
+                lambda x: np.clip((1.0 - b) - a * x, 0.0, 1.0), left)
+    if isinstance(f, TriangularCdf):
+        m = f.m
+        return (lambda x: np.where(a * x + b < 0.0, 0.0,
+                                   np.clip((1.0 - m) + m * (a * x + b), 0.0, 1.0)),
+                lambda x: np.where(a * x + b < 0.0, 1.0,
+                                   np.clip(m * ((1.0 - b) - a * x), 0.0, 1.0)), left)
+    return lambda x: f._value(a * x + b), lambda x: f._tail(a * x + b), left
 
 
 def _push_points(*laws):
@@ -375,6 +396,50 @@ def test_rescale_rebuilds_the_convolutions_bit_for_bit(first, second, a, b):
         _assert_bits(lower.value(x), np.minimum(fv(x) + gv(x), 1.0))
         _assert_bits(lower.tail(x), 1.0 - np.minimum(fv(x) + gv(x), 1.0))
         _assert_bits(lower.left(x), np.minimum(fl(x) + gl(x), 1.0))
+
+
+# the endpoint-gap tails of the uniform and triangular leaves, written
+# out: their affine hook at x -> x + omega must give these doubles
+GAP_POINTS = np.array([0.0, 5e-324, 0.25, 1.0, np.nextafter(1.0, 2.0), 2.0, math.inf])
+GAP_LEAVES = {
+    "uniform": (UniformCdf(), lambda h: np.clip(h, 0.0, 1.0)),
+    "triangular_0.6": (triangular_law_cdf(0.6),
+                       lambda h: np.where(h > 1.0, 1.0, np.clip(0.6 * h, 0.0, 1.0))),
+    "triangular_1.5": (triangular_law_cdf(1.5),
+                       lambda h: np.where(h > 1.0, 1.0, np.clip(1.5 * h, 0.0, 1.0))),
+}
+GAP_MAPS = [None, (1.7, -0.3), (0.25, 0.5)]
+
+
+def _gap_law(name, image):
+    leaf, gap = GAP_LEAVES[name]
+    if image is None:
+        return leaf, gap
+    a, b = image
+    # an affine image reads the leaf's gap tail at a h
+    return rescale(leaf, a, b), lambda h: gap(a * h)
+
+
+@pytest.mark.parametrize("image", GAP_MAPS)
+@pytest.mark.parametrize("name", list(GAP_LEAVES))
+def test_tail_gap_is_the_written_out_gap_formula_bit_for_bit(name, image):
+    f, gap = _gap_law(name, image)
+    expected = gap(GAP_POINTS)
+    _assert_bits(f.tail_gap(GAP_POINTS), expected)
+    _assert_bits(np.array([f.tail_gap(float(h)) for h in GAP_POINTS]), expected)
+    # a NaN gap gives a NaN, whose sign bit the platform's negation decides
+    assert math.isnan(f.tail_gap(math.nan)) and np.isnan(f.tail_gap(np.array([math.nan]))[0])
+
+
+@pytest.mark.parametrize("image", GAP_MAPS)
+@pytest.mark.parametrize("name", list(GAP_LEAVES))
+def test_tail_gap_at_minus_zero_is_plus_zero(name, image):
+    # the hook forms the gap as (1 - omega) - (-h): +0.0 at h = -0.0,
+    # where the written-out clip(h) kept the sign
+    f, gap = _gap_law(name, image)
+    assert np.signbit(gap(np.array([-0.0]))[0])
+    for got in (f.tail_gap(-0.0), f.tail_gap(np.array([-0.0]))[0]):
+        assert got == 0.0 and not np.signbit(got)
 
 
 @pytest.mark.parametrize("a", [0.0, -0.0, -1.5, math.nan, math.inf])
@@ -1002,7 +1067,7 @@ def sample_cdfs(draw):
     if kind == 1:
         lo = draw(st.floats(-5, 5))
         width = draw(st.floats(0.1, 5))
-        return UniformCdf(lo, lo + width)
+        return rescale(UniformCdf(), 1.0 / width, -lo / width)
     if kind == 2:
         return ParetoCdf(draw(st.floats(0.5, 4)))
     return GpdCdf(0.0)
@@ -1090,9 +1155,10 @@ def test_table_text_is_the_f_string_rendering_on_every_canonical_law(kind):
     for location, scale in ((0.0, 1.0), (-3.1, 2.0**-30), (1e200, 1e290)):
         law = make_law(LawSpec(kind, shape=shape, location=location, scale=scale))
         grid = comparison_grid(law)
-        with np.errstate(over="ignore"):  # the laws overflow harmlessly out at 1e300
-            for x in (grid, np.concatenate([grid, location + scale * far])):
-                assert cdf_table_text(law, x) == _f_string_table(law, x)
+        with np.errstate(over="ignore"):  # scale * far overflows at scale 1e290
+            points = location + scale * far
+        for x in (grid, np.concatenate([grid, points])):
+            assert cdf_table_text(law, x) == _f_string_table(law, x)
 
 
 def test_read_samples_plain_and_csv(tmp_path):

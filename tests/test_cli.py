@@ -594,6 +594,25 @@ def test_a_law_whose_affine_map_overflows_is_a_law_error(capsys, law):
     assert err["error"]["message"].startswith("rescale requires a finite map x -> a x + b")
 
 
+@pytest.mark.parametrize("law,flags", [
+    ('{"kind":"Uniform","location":1e17}', ["--grid-size", "3"]),
+    ('{"kind":"FreeTypeI","location":1e17}', []),
+    ('{"kind":"MarchenkoPastur","shape":1e300}', ["--grid-size", "3"]),
+])
+def test_a_default_grid_whose_points_repeat_is_a_law_error(capsys, law, flags):
+    # the span is below the spacing of the doubles there, so a table would
+    # repeat its x rows and could not be read back with --law-csv
+    code, err = run_error(capsys, ["law", "--law", law] + flags)
+    assert code == EXIT_LAW
+    assert "repeat" in err["error"]["message"]
+
+
+def test_an_explicit_grid_whose_points_repeat_is_a_usage_error(capsys):
+    code, err = run_error(capsys, ["law", "--law", '{"kind":"Uniform"}', "--grid=0,5e-324,4"])
+    assert code == EXIT_USAGE
+    assert "repeats points" in err["error"]["message"]
+
+
 def test_seed_required_for_stochastic_commands(capsys):
     code, err = run_error(capsys, ["spectral", "--experiment", "pnorm"])
     assert code == EXIT_USAGE
@@ -812,8 +831,34 @@ _JSON_VALUE = st.one_of(
 )
 
 
+# Half the invocations are drawn well formed, every flag from its valid
+# pool below, so that they reach the report writers; the other half draw
+# each flag from the full pools above, malformed values and all.
+_GOOD_SHAPE = st.sampled_from([0.5, 1.0, 2.0, 3.5])
+_GOOD_COUNT = st.sampled_from(["2", "3", "300"])
+_GOOD_LIST = st.sampled_from(["2,10", "16", "1000000", "2,10,100"])
+# the free type each law is attracted to
+_DOMAINS = {
+    "I": [LawKind.FREE_TYPE_I, LawKind.CLASSICAL_GUMBEL, LawKind.STD_NORMAL],
+    "II": [LawKind.FREE_TYPE_II, LawKind.CLASSICAL_FRECHET],
+    "III": [LawKind.FREE_TYPE_III, LawKind.UNIFORM, LawKind.CLASSICAL_WEIBULL,
+            LawKind.TRIANGULAR_PROCESS, LawKind.MARCHENKO_PASTUR],
+}
+_GOOD_TABLES = st.sampled_from([["0,0", "1,0.5", "2,1"], ["0,0.2", "1,0.4", "2,1"],
+                                ["-1,0", "3,1"]])
+
+
+def _good_law(draw, kinds=tuple(LawKind)) -> dict:
+    law = {"kind": draw(st.sampled_from(kinds)).value, "shape": draw(_GOOD_SHAPE)}
+    if draw(st.booleans()):
+        law.update(location=draw(st.floats(-5.0, 5.0)), scale=draw(st.floats(0.1, 5.0)))
+    return law
+
+
 @st.composite
-def _law_json(draw):
+def _law_json(draw, ok=False):
+    if ok:
+        return json.dumps(_good_law(draw))
     if draw(st.integers(0, 9)) == 0:
         return draw(st.sampled_from(["[]", "3", "{", "null", '{"shape": 1}']))
     kinds = [k.value for k in LawKind] + ["Nope", 3]
@@ -825,10 +870,14 @@ def _law_json(draw):
 
 
 @st.composite
-def _grid_flags(draw):
-    choice = draw(st.integers(0, 3))
+def _grid_flags(draw, ok=False):
+    choice = draw(st.integers(0, 3 - ok))
     if choice == 1:
-        return ["--grid-size", draw(st.sampled_from(["-1", "0", "1", "2", "3", "300", "x"]))]
+        counts = _GOOD_COUNT if ok else st.sampled_from(["-1", "0", "1", "2", "3", "300", "x"])
+        return ["--grid-size", draw(counts)]
+    if choice == 2 and ok:
+        lo, hi = draw(st.sampled_from(["-2", "0", "0.5"])), draw(st.sampled_from(["1", "3", "10"]))
+        return [f"--grid={lo},{hi},{draw(_GOOD_COUNT)}"]
     if choice == 2:
         count = draw(st.sampled_from(["-1", "0", "1", "2", "3", "300", "nan", "x"]))
         return [f"--grid={draw(_TEXT)},{draw(_TEXT)},{count}"]  # "=": lo may start with "-"
@@ -850,17 +899,36 @@ def _invocations(draw):
     """(argv, files): files maps a name in argv to the text to write there."""
     command = draw(st.sampled_from(
         ["law", "conv", "iterate", "stable", "attract", "pot", "spectral", "poisson"]))
+    ok = draw(st.booleans())
+
+    def pick(good, pool):
+        return good if ok else pool
+
     files = {}
     if command == "law" and draw(st.booleans()):
         rows = st.sampled_from(["0,0.2", "1,0.5", "1,0.4", "nan,0.5", "2,1", "x,1", "3", "1,inf", ""])
-        files["table.csv"] = "\n".join(["x,F"] + draw(st.lists(rows, max_size=5))) + "\n"
-        argv = ["law", "--law-csv", "table.csv"] + draw(_grid_flags())
+        table = draw(pick(_GOOD_TABLES, st.lists(rows, max_size=5)))
+        files["table.csv"] = "\n".join(["x,F"] + table) + "\n"
+        argv = ["law", "--law-csv", "table.csv"] + draw(_grid_flags(ok))
     elif command in ("law", "conv"):
-        argv = [command, "--law", draw(_law_json())] + draw(_grid_flags())
+        argv = [command, "--law", draw(_law_json(ok))] + draw(_grid_flags(ok))
         if command == "conv":
-            ops = st.sampled_from(["free_max", "free_min", "classical", "bogus"])
-            argv += ["--law2", draw(_law_json()), "--op", draw(ops)]
-        argv += _optional(draw, "--format", st.sampled_from(["csv", "json", "xml"]))
+            ops = ["free_max", "free_min", "classical"]
+            argv += ["--law2", draw(_law_json(ok)),
+                     "--op", draw(pick(st.sampled_from(ops), st.sampled_from(ops + ["bogus"])))]
+        argv += _optional(draw, "--format", pick(st.sampled_from(["csv", "json"]),
+                                                 st.sampled_from(["csv", "json", "xml"])))
+    elif command in ("iterate", "attract") and ok:
+        kind = draw(st.sampled_from(list(_DOMAINS)))
+        argv = [command, "--law", json.dumps(_good_law(draw, _DOMAINS[kind])),
+                "--n", draw(_GOOD_LIST), "--type", kind]
+        argv += [] if kind == "I" else [f"--alpha={draw(_GOOD_SHAPE)}"]
+        if command == "iterate":
+            argv += draw(_grid_flags(ok))
+        elif kind != "I" and draw(st.booleans()):
+            argv += [f"--rv-alpha={draw(_GOOD_SHAPE)}"]
+            # at the endpoint, the offsets x h stay below the support width
+            argv += [] if kind == "II" else ["--rv-x=0.5,1,2", "--rv-scales=0.01,0.001"]
     elif command in ("iterate", "attract"):
         argv = [command, "--law", draw(_law_json()), "--n", draw(_LIST),
                 "--type", draw(st.sampled_from(["I", "II", "III", "IV"]))]
@@ -871,35 +939,62 @@ def _invocations(draw):
             argv += _optional(draw, "--rv-alpha", _TEXT) + _optional(draw, "--rv-x", _LIST)
             argv += _optional(draw, "--rv-scales", _LIST)
     elif command == "stable":
-        argv = ["stable", "--law", draw(_law_json()), "--k", draw(st.one_of(_COUNT, _K))]
-        argv += _optional(draw, "--tol", _TEXT)
+        argv = ["stable", "--law", draw(_law_json(ok)),
+                "--k", draw(pick(st.sampled_from(["2", "7", "1000000"]), st.one_of(_COUNT, _K)))]
+        argv += _optional(draw, "--tol", pick(st.sampled_from(["1e-9", "0.5"]), _TEXT))
+    elif command == "pot" and draw(st.booleans()):
+        values = ["0.5", "1", "2.5", "7", "nan", "inf", "x"]
+        files["samples.txt"] = "\n".join(draw(pick(
+            st.lists(st.sampled_from(values[:4]), min_size=40, max_size=60),
+            st.lists(st.sampled_from(values), max_size=40)))) + "\n"
+        argv = ["pot", "--samples", "samples.txt"]
+        argv += _optional(draw, "--u", pick(st.sampled_from(["0", "0.2"]), _TEXT))
+    elif command == "pot" and ok:
+        # a GPD law and thresholds inside its support
+        law = _good_law(draw, [LawKind.GENERALIZED_PARETO])
+        law["shape"] = gamma = draw(st.sampled_from([-0.5, 0.0, 0.5]))
+        u = ",".join(str(law.get("location", 0.0) + law.get("scale", 1.0) * t) for t in (0.1, 0.5))
+        argv = ["pot", "--law", json.dumps(law), f"--gamma={gamma}", f"--u-list={u}"]
     elif command == "pot":
-        if draw(st.booleans()):
-            values = draw(st.lists(st.sampled_from(["0.5", "1", "2.5", "7", "nan", "inf", "x"]),
-                                   max_size=40))
-            files["samples.txt"] = "\n".join(values) + "\n"
-            argv = ["pot", "--samples", "samples.txt"] + _optional(draw, "--u", _TEXT)
-        else:
-            argv = ["pot", "--law", draw(_law_json())]
-            argv += _optional(draw, "--gamma", _TEXT) + _optional(draw, "--u-list", _LIST)
+        argv = ["pot", "--law", draw(_law_json())]
+        argv += _optional(draw, "--gamma", _TEXT) + _optional(draw, "--u-list", _LIST)
     elif command == "spectral":
-        experiments = ["general_position", "conv_identity", "pnorm", "logexp", "bogus"]
-        argv = ["spectral", "--experiment", draw(st.sampled_from(experiments)),
-                "--N", draw(_COUNT), "--trials", draw(st.sampled_from(["-1", "0", "1", "2"]))]
-        argv += _optional(draw, "--seed", st.sampled_from(["0", "7", "-1", "x"]))
-        argv += _optional(draw, "--ranks", st.sampled_from(["1,2", "0", "100", "x"]))
-        argv += _optional(draw, "--p-list", st.sampled_from(["16", "nan", "0", "-1", "inf"]))
+        experiments = ["general_position", "conv_identity", "pnorm", "logexp"]
+        argv = ["spectral",
+                "--experiment", draw(pick(st.sampled_from(experiments),
+                                          st.sampled_from(experiments + ["bogus"]))),
+                "--N", draw(pick(st.integers(2, 24).map(str), _COUNT)),
+                "--trials", draw(pick(st.sampled_from(["1", "2"]),
+                                      st.sampled_from(["-1", "0", "1", "2"])))]
+        if ok:
+            argv += ["--seed", str(draw(st.integers(0, 2**31))), "--ranks", "1,2"]
+        else:
+            argv += _optional(draw, "--seed", st.sampled_from(["0", "7", "-1", "x"]))
+            argv += _optional(draw, "--ranks", st.sampled_from(["1,2", "0", "100", "x"]))
+        argv += _optional(draw, "--p-list", pick(st.sampled_from(["16", "2,64"]), st.sampled_from(
+            ["16", "nan", "0", "-1", "inf"])))
     else:
-        masses = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.5, -1.0, math.nan, math.inf, 5e-324,
-                                            7.9, 15.99, 16.0, 16.5, 1e300]),
-                           st.text(max_size=2), st.none())
-        atoms = [{"id": i, "mass": draw(masses)} for i in draw(st.lists(
-            st.sampled_from(["1", "2", "a"]), max_size=3))]
-        files["part.json"] = draw(st.sampled_from([json.dumps({"atoms": atoms}), "{", "[]"]))
-        argv = ["poisson", "--partition", "part.json", "--N", draw(_COUNT),
-                "--subsets", draw(st.sampled_from(["1", "1;2", "1,2", "1,", ",", "z", ";", ""])),
-                "--trials", draw(st.sampled_from(["0", "1", "2"])),
-                "--seed", draw(st.sampled_from(["3", "-1"]))]
+        masses = pick(st.sampled_from([0.3, 0.5, 1.5, 4.0]), st.one_of(
+            st.sampled_from([0.0, 0.3, 0.5, 1.5, -1.0, math.nan, math.inf, 5e-324,
+                             7.9, 15.99, 16.0, 16.5, 1e300]),
+            st.text(max_size=2), st.none()))
+        ids = draw(pick(st.lists(st.sampled_from(["1", "2", "a"]), min_size=1, max_size=3,
+                                 unique=True),
+                        st.lists(st.sampled_from(["1", "2", "a"]), max_size=3)))
+        atoms = [{"id": i, "mass": draw(masses)} for i in ids]
+        files["part.json"] = draw(pick(st.just(json.dumps({"atoms": atoms})),
+                                       st.sampled_from([json.dumps({"atoms": atoms}), "{", "[]"])))
+        if ok:  # groups of the partition's own ids
+            groups = draw(st.lists(st.lists(st.sampled_from(ids), min_size=1, max_size=2),
+                                   min_size=1, max_size=2))
+            subsets = ";".join(",".join(group) for group in groups)
+        else:
+            subsets = draw(st.sampled_from(["1", "1;2", "1,2", "1,", ",", "z", ";", ""]))
+        argv = ["poisson", "--partition", "part.json", "--subsets", subsets,
+                "--N", draw(pick(st.sampled_from(["8", "16"]), _COUNT)),
+                "--trials", draw(pick(st.sampled_from(["1", "2"]),
+                                      st.sampled_from(["0", "1", "2"]))),
+                "--seed", draw(pick(st.just("3"), st.sampled_from(["3", "-1"])))]
         argv += ["--dump-eigs", _DUMP] if draw(st.booleans()) else []
     return argv, files
 

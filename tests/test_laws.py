@@ -53,6 +53,32 @@ def test_canonical_formulas_match_definitions():
         np.testing.assert_allclose(law.value(xs), expected, atol=1e-14)
 
 
+_EXTREME_SHAPES = {
+    LawKind.FREE_TYPE_II: (0.3, 1.7),
+    LawKind.FREE_TYPE_III: (0.3, 1.7),
+    LawKind.GENERALIZED_PARETO: (-0.5, 0.0, 2.0),
+    LawKind.CLASSICAL_FRECHET: (0.3, 1.7),
+    LawKind.CLASSICAL_WEIBULL: (0.3, 1.7),
+    LawKind.MARCHENKO_PASTUR: (0.5, 4.0),
+    LawKind.TRIANGULAR_PROCESS: (0.6, 1.3),
+}
+_BIG = np.finfo(float).max
+_EXTREME_POINTS = [1e300, -1e300, _BIG, -_BIG, math.inf, -math.inf, 5e-324, -5e-324, math.nan]
+
+
+@pytest.mark.parametrize("kind", list(LawKind), ids=lambda k: k.value)
+def test_laws_evaluate_extreme_arguments_without_a_warning(kind):
+    for shape in _EXTREME_SHAPES.get(kind, (None,)):
+        for location, scale in ((0.0, 1.0), (0.4, 1.37)):
+            law = make_law(LawSpec(kind, shape=shape, location=location, scale=scale))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for method in (law.value, law.tail, law.left):
+                    values = method(np.array(_EXTREME_POINTS))
+                    assert [method(x) for x in _EXTREME_POINTS] == pytest.approx(
+                        values.tolist(), nan_ok=True)
+
+
 def test_remaining_canonical_formulas():
     from scipy import stats
 
