@@ -425,10 +425,12 @@ def fit_gpd(exceedances: Sequence[float]) -> GpdFit:
     def profile(w: float) -> tuple[float, float, float]:
         """(log-likelihood, gamma, sigma) at theta max x = expm1(w)."""
         t = math.expm1(w)
+        # np.add.reduce is np.mean's sum without its Python wrapper: same bits
         if t == 0.0:
-            sigma = float(np.mean(x))
+            sigma = float(np.add.reduce(x)) / n
             return -n * (math.log(sigma) + 1.0), 0.0, sigma
-        gamma = float(np.mean(np.log1p(np.multiply(t, ratio, out=work), out=work)))
+        np.log1p(np.multiply(t, ratio, out=work), out=work)
+        gamma = float(np.add.reduce(work)) / n
         sigma = gamma * x_max / t
         return -n * (math.log(sigma) + 1.0 + gamma), gamma, sigma
 

@@ -11,6 +11,7 @@ compute in whichever of the value/tail domains avoids cancellation.
 """
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -916,9 +917,10 @@ def _header(fh) -> list[str]:
 def _loadtxt(fh, path: str, **layout) -> np.ndarray:
     """The rest of ``fh`` through numpy's parser: a 2-d array of finite floats.
 
-    Every sample file and CDF table is read here.  Blank lines are
-    skipped; a ``#``, an empty cell or a number that only Python's
-    ``float`` reads (``1_000``) is an error.
+    Every CDF table, and every sample file that ``_json_column`` leaves
+    to numpy, is read here.  Blank lines are skipped; a ``#``, an empty
+    cell or a number that only Python's ``float`` reads (``1_000``) is an
+    error.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # an empty file is reported below
@@ -928,6 +930,36 @@ def _loadtxt(fh, path: str, **layout) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise CdfError(f"{path}: values must be finite, found {data[~np.isfinite(data)][0]}")
     return data
+
+
+#: the bytes of a sample body that orjson may read: JSON numbers and whitespace
+_JSON_NUMBER_BYTES = b"0123456789.eE+- \t\r\n"
+
+
+def _json_column(raw: bytes) -> Optional[np.ndarray]:
+    """A sample file of one JSON number a line, in one orjson call.
+
+    The body is the whole file, or what follows a header of exactly
+    ``value``.  orjson's parser (yyjson) rounds correctly, as numpy's does,
+    so the two agree bit for bit.  None hands the file to numpy: a byte
+    that is no part of a JSON number, a token or a line JSON refuses
+    (blank lines, ``+1.5``, ``.5``, ``1e400``), an empty body, and zeros,
+    since orjson reads ``-0`` as the integer 0.
+    """
+    end = raw.find(b"\n") + 1  # the first line's end, 0 without a newline
+    body = raw[end:] if raw[:end].strip() == b"value" else raw
+    if body.translate(None, _JSON_NUMBER_BYTES):
+        return None
+    import orjson  # deferred, like scipy: only sample and table files load it
+
+    text = b"[" + body.rstrip().replace(b"\n", b",") + b"]"
+    try:
+        data = np.array(orjson.loads(text), dtype=float)
+    except (ValueError, OverflowError):
+        return None
+    if data.size == 0 or not np.all(np.isfinite(data) & (data != 0.0)):
+        return None
+    return data.reshape(-1, 1)
 
 
 def tabulated_cdf(path: str) -> SteppedCdf:
@@ -942,10 +974,15 @@ def tabulated_cdf(path: str) -> SteppedCdf:
 def read_samples(path: str) -> np.ndarray:
     """Read one float per line, or a CSV with a ``value`` column.
 
-    Both layouts follow ``_loadtxt``'s rules, and a second value on a line
-    of the plain layout is an error.
+    A body of plain JSON numbers is read by ``_json_column``; every other
+    file goes to ``_loadtxt`` under its rules and messages.  A second
+    value on a line of the plain layout is an error.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    data = _json_column(raw)
+    if data is None:
+        fh = io.TextIOWrapper(io.BytesIO(raw), newline="", encoding="utf-8")
         header = _header(fh)
         if len(header) == 1 and header[0].lower() != "value":
             fh.seek(0)

@@ -198,22 +198,23 @@ class MpCdf(Cdf):
         out = np.sqrt(np.clip((self.lam_plus - safe) * (safe - self.lam_minus), 0.0, None))
         return np.where(inside, out / (2.0 * math.pi * safe), 0.0)
 
+    # nested np.where and the ndarray clip method: np.select's broadcasts
+    # and np.clip's wrapper cost more than the formula, with the same bits
     def _value(self, x):
         a, b = self.lam_minus, self.lam_plus
         c, d, sab = 0.5 * (a + b), 0.5 * (b - a), math.sqrt(a * b)
-        t = np.clip(x, a, b)
-        prim = np.sqrt(np.clip((b - t) * (t - a), 0.0, None))
-        prim = prim + c * np.arcsin(np.clip((t - c) / d, -1.0, 1.0))
+        t = x.clip(a, b)
+        prim = np.sqrt(((b - t) * (t - a)).clip(0.0, None))
+        prim = prim + c * np.arcsin(((t - c) / d).clip(-1.0, 1.0))
         if sab > 0.0:  # at rate 1, a = 0: the term vanishes and t may be 0
-            prim = prim - sab * np.arcsin(np.clip((c * t - a * b) / (d * t), -1.0, 1.0))
+            prim = prim - sab * np.arcsin(((c * t - a * b) / (d * t)).clip(-1.0, 1.0))
         # the antiderivative at the lower edge is -(pi/2)(c - sqrt(ab))
         cont = (prim + 0.5 * math.pi * (c - sab)) / (2.0 * math.pi)
-        inside = np.clip(self.atom + cont, self.atom, 1.0)
-        return np.select([x < 0.0, x < a, x >= b], [0.0, self.atom, 1.0], inside)
+        inside = (self.atom + cont).clip(self.atom, 1.0)
+        return np.where(x < 0.0, 0.0, np.where(x < a, self.atom, np.where(x >= b, 1.0, inside)))
 
     def _left(self, x):
-        vals = self._value(x)
-        return np.where(np.asarray(x) == 0.0, 0.0, vals)
+        return np.where(x == 0.0, 0.0, self._value(x))
 
     def conditional_nonzero(self) -> Cdf:
         """The law conditioned on the continuous (nonzero) part."""
@@ -223,7 +224,7 @@ class MpCdf(Cdf):
         scale = 1.0 - parent.atom
 
         def value_fn(x):
-            return np.clip((parent._value(x) - parent.atom) / scale, 0.0, 1.0)
+            return ((parent._value(x) - parent.atom) / scale).clip(0.0, 1.0)
 
         return FunctionCdf(value_fn, alpha=parent.lam_minus, omega=parent.lam_plus)
 

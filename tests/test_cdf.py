@@ -1225,6 +1225,103 @@ def test_csv_files_follow_the_plain_layouts_parser(tmp_path):
             (tabulated_cdf if text.startswith("x,F") else read_samples)(str(path))
 
 
+def _numpy_read_samples(path):
+    """``read_samples`` with every file through numpy: the reference."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = cdf_module._header(fh)
+        if len(header) == 1 and header[0].lower() != "value":
+            fh.seek(0)
+            data = cdf_module._loadtxt(fh, path)
+        elif "value" in header:
+            data = cdf_module._loadtxt(fh, path, usecols=(header.index("value"),),
+                                       **cdf_module._CSV)
+        else:
+            raise CdfError(f"{path}: CSV sample files need a 'value' column")
+    if data.shape[1] != 1:
+        raise CdfError(f"{path}: expected one value per line")
+    return data.ravel()
+
+
+def _outcome(read, path):
+    """The array's dtype, shape and bits, or the exception's type and message."""
+    try:
+        data = read(path)
+    except Exception as exc:  # noqa: BLE001  (the type is the outcome)
+        return type(exc), str(exc)
+    return data.dtype.str, data.shape, data.tobytes()
+
+
+def _halfway_decimals(count):
+    """Exact decimal midpoints of adjacent doubles, normal and subnormal:
+    the inputs a parser that does not round correctly gets wrong."""
+    import decimal
+
+    rng = np.random.default_rng(11)
+    lows = [5e-324, 2.2250738585072014e-308, 1.0, 9007199254740992.0]
+    lows += (10.0 ** rng.uniform(-320, 300, count - len(lows))).tolist()
+    with decimal.localcontext(decimal.Context(prec=1200)):
+        return [str(decimal.Decimal(lo) + (decimal.Decimal(math.nextafter(lo, math.inf))
+                                           - decimal.Decimal(lo)) / 2) for lo in lows]
+
+
+_HALFWAY = _halfway_decimals(60)
+
+
+@pytest.mark.parametrize(
+    "raw, fast",
+    [
+        (b"-0\n1.5\n", False),
+        (b"-0.0\n2\n", False),
+        (b"1\n-7\n9007199254740993\n-9007199254740993\n", True),
+        (b"18446744073709551617\n-36893488147419103233\n" + b"7" * 300 + b"\n", True),
+        (b"1e400\n", False),
+        (b"1e-400\n", False),
+        (b"1.5\n" + b"9" * 400 + b"\n", False),
+        ("\n".join(_HALFWAY).encode(), True),
+        ("\n".join("-" + h for h in _HALFWAY).encode() + b"\n", True),
+        (b"1.5\r\n2.5 \r\n3.5\t\n-4.5e-3 \t\r\n", True),
+        (b"1.5\n\n2.5\n", False),
+        (b"1.5\n \n2.5\n\n", False),
+        (b"1.0,2.0\n", False),
+        (b"1.0 2.0\n", False),
+        (b"+1.5\n.5\n1.\n01\n", False),
+        (b"\xef\xbb\xbf1.5\n2.5\n", False),
+        (b"1.5\n\xff\n", False),
+        (b"value\r\n1.5\r\n-2.5e-3\r\n1E+5\r\n", True),
+        (b" value \n1.5\n", True),
+        (b"value\n1.5\n\n2.5\n", False),
+        (b"value\n", False),
+        (b"value", False),
+        (b"2.5", True),
+        (b"Value\n1.5\n", False),
+        (b"other,value\na,1.5\nb,2.5\n", False),
+        (b"value,other\n1.5,a\n", False),
+        (b"", False),
+    ],
+)
+def test_read_samples_reads_as_numpy_does(tmp_path, raw, fast):
+    # orjson reads plain JSON numbers; the result, or the exception type
+    # and message, is numpy's either way
+    path = tmp_path / "samples.txt"
+    path.write_bytes(raw)
+    assert (cdf_module._json_column(raw) is not None) is fast
+    assert _outcome(read_samples, str(path)) == _outcome(_numpy_read_samples, str(path))
+
+
+def test_read_samples_reads_every_spelling_as_numpy_does(tmp_path):
+    rng = np.random.default_rng(12)
+    bits = rng.integers(0, 2**64, size=20_000, dtype=np.uint64).view(np.float64)
+    band = 10.0 ** rng.uniform(-20.0, 20.0, 20_000) * rng.choice([-1.0, 1.0], 20_000)
+    values = np.concatenate([bits[np.isfinite(bits) & (bits != 0.0)], band]).tolist()
+    spellings = (repr, "%.17g".__mod__, "%.20e".__mod__, "%.30g".__mod__, "%.3e".__mod__)
+    raw = "\n".join(spellings[i % 5](v) for i, v in enumerate(values)).encode()
+    path = tmp_path / "samples.txt"
+    for body in (raw, b"value\r\n" + raw.replace(b"\n", b"\r\n") + b"\r\n"):
+        path.write_bytes(body)
+        assert cdf_module._json_column(body) is not None
+        assert _outcome(read_samples, str(path)) == _outcome(_numpy_read_samples, str(path))
+
+
 def test_ks_distance_of_exact_sample_quantiles():
     f = UniformCdf()
     sample = f.quantile((np.arange(100) + 0.5) / 100)

@@ -477,22 +477,20 @@ def test_scipy_loads_only_where_its_functions_run(tmp_path):
     assert not [m for m in seen[5] if m.startswith(("scipy.integrate", "scipy.optimize"))]
 
 
-def test_orjson_loads_only_where_a_table_is_written(tmp_path):
-    # the import is deferred to the first table, so start-up and the
-    # pot and spectral runs do not pay for it
+def test_orjson_loads_only_at_the_first_table_or_sample_file(tmp_path):
+    # the import is deferred to the first table written or sample file
+    # read, so start-up and spectral runs do not pay for it
     sample = np.random.default_rng(5).pareto(2.0, 200)
     (tmp_path / "samples.txt").write_text("\n".join(repr(float(v)) for v in sample) + "\n")
-    runs = [
-        ["pot", "--samples", "samples.txt", "--u", "0.1", "--out", "pot.json"],
-        ["spectral", "--experiment", "conv_identity", "--N", "16", "--trials", "1",
-         "--seed", "7", "--out", "s.json"],
-        ["law", "--law", '{"kind":"Uniform"}', "--out", "u.csv"],
-    ]
-    code = "import freemax.cli\nSHOW\nfrom freemax.cli import dispatch\n" + "".join(
-        f"assert dispatch({argv!r}) == 0\nSHOW\n" for argv in runs
-    )
-    seen = _modules_after(code, tmp_path, "orjson")
-    assert seen[:3] == [[], [], []] and "orjson" in seen[3]
+    spectral = ["spectral", "--experiment", "conv_identity", "--N", "16", "--trials", "1",
+                "--seed", "7", "--out", "s.json"]
+    for first in (["pot", "--samples", "samples.txt", "--u", "0.1", "--out", "pot.json"],
+                  ["law", "--law", '{"kind":"Uniform"}', "--out", "u.csv"]):
+        code = "import freemax.cli\nSHOW\nfrom freemax.cli import dispatch\n" + "".join(
+            f"assert dispatch({argv!r}) == 0\nSHOW\n" for argv in (spectral, first)
+        )
+        seen = _modules_after(code, tmp_path, "orjson")
+        assert seen[:2] == [[], []] and "orjson" in seen[2]
 
 
 def test_closed_form_laws_run_without_integrate_or_optimize(tmp_path):
