@@ -94,8 +94,8 @@ def mean_excess(f: Cdf, t: float) -> float:
 
     The integral is the law's ``_tail_integral`` where that is a closed
     form: the GPD family (exponential, Pareto, Beta power, uniform), the
-    normal, the Gumbel law at and above its mode, and any affine image of
-    these.  Elsewhere (tables, ``FunctionCdf``, Frechet, Weibull, derived
+    normal, the Gumbel law at and above its mode, tables, and any affine
+    image of these.  Elsewhere (``FunctionCdf``, Frechet, Weibull, derived
     laws) it is ``_quad_tail_integral``.  Raises ``CdfError`` for an
     infinite mean.
     """

@@ -441,6 +441,35 @@ class SteppedCdf(Cdf):
         out = np.interp(x, self.xs, self.vs)
         return np.where(x <= self.xs[0], 0.0, out)
 
+    def _tail_integral(self, t):
+        """Rectangles of the tail 1 - v_i on each step, or trapezoids on
+        each linear segment, from t to the end: the first breakpoint where
+        the value is 1, or the last one where it is within MONOTONE_SLACK
+        of 1, the slack the table's values are read with.  Below the first
+        breakpoint the tail is 1.  A table that stays further below 1, or
+        a t past its end, leaves only a flat tail: an infinite mean."""
+        xs, vs = self.xs, self.vs
+        end = int(np.searchsorted(vs, 1.0))
+        if end == vs.size:
+            if vs[-1] < 1.0 - MONOTONE_SLACK:
+                return math.inf
+            end -= 1
+        k = int(np.searchsorted(xs, t, side="right"))  # xs[k - 1] <= t < xs[k]
+        if k > end:
+            return math.inf
+        gaps = 1.0 - vs[:end + 1]
+        widths = np.diff(xs[k:end + 1])
+        if self.interpolation == "constant":
+            head = (xs[k] - t) * (gaps[k - 1] if k else 1.0)
+            body = widths * gaps[k:end]
+        else:
+            head = xs[k] - t
+            if k:  # the trapezoid from the tail at t, interpolated from xs[k]
+                part = head / (xs[k] - xs[k - 1])
+                head *= gaps[k] + 0.5 * (gaps[k - 1] - gaps[k]) * part
+            body = widths * (gaps[k:end] + gaps[k + 1:]) * 0.5
+        return math.fsum([head, *body.tolist()])
+
     def _quantile(self, p):
         if self.interpolation == "constant":
             idx = np.searchsorted(self.vs, p, side="left")

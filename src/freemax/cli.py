@@ -310,7 +310,7 @@ def _seeded_pair(n: int, seed: int, trial: int, stream: int, spectrum=lambda u: 
     of n uniform draws each, sorted."""
     rng = rng_from_seed(seed, trial, stream)
     spectra = [np.sort(spectrum(rng.random(n))) for _ in range(2)]
-    return [HermitianMatrix.from_spectrum(values, haar_orthogonal(n, seed, trial, side))
+    return [HermitianMatrix._from_householder(values, haar_orthogonal(n, seed, trial, side))
             for side, values in enumerate(spectra)]
 
 

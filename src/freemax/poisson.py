@@ -297,7 +297,7 @@ def realize_triangular_process(
         law = TriangularCdf(mass)
         spectrum = np.asarray(law.quantile(probs), dtype=float)
         u = haar_orthogonal(n, seed, index)
-        out[atom_id] = HermitianMatrix.from_spectrum(spectrum, u)
+        out[atom_id] = HermitianMatrix._from_householder(spectrum, u)
     return out
 
 

@@ -147,17 +147,27 @@ class HermitianMatrix:
         read.
         """
         vecs = np.asarray(eigenvectors)
-        obj = cls._assemble(eigenvalues, vecs)
-        _require_finite(obj.eigenvalues)
+        obj = cls._from_householder(eigenvalues, vecs)
         _check_orthonormal(vecs, 1e-8, "eigenvector columns")
         return obj
 
     @classmethod
+    def _from_householder(cls, eigenvalues, vecs: np.ndarray) -> "HermitianMatrix":
+        """``from_spectrum`` without the orthonormality check, for a
+        Householder Q the library has just formed (times unit phases): it
+        is orthonormal to O(N eps) by construction (Higham, Accuracy and
+        Stability of Numerical Algorithms, ch. 19), far inside 1e-8."""
+        obj = cls._assemble(eigenvalues, vecs)
+        _require_finite(obj.eigenvalues)
+        return obj
+
+    @classmethod
     def _assemble(cls, eigenvalues, vecs) -> "HermitianMatrix":
-        """``from_spectrum`` without the orthonormality check, for vectors
-        that already belong to a ``HermitianMatrix``.  ``vecs`` is an array
-        or a zero-argument function returning one, called on the first
-        read of ``eigenvectors``."""
+        """Spectral data taken as given, with no finiteness or Gram check:
+        for vectors that already belong to a ``HermitianMatrix`` or that a
+        Householder QR formed.  ``vecs`` is an array or a zero-argument
+        function returning one, called on the first read of
+        ``eigenvectors``."""
         eigenvalues = np.asarray(eigenvalues, dtype=float).ravel()
         n = eigenvalues.size
         if not callable(vecs) and (not n or vecs.shape != (n, n)):
@@ -228,6 +238,16 @@ class Projection:
         self.basis = basis
         self.n = n
         self.rank = r
+
+    @classmethod
+    def _from_householder(cls, q: np.ndarray) -> "Projection":
+        """Projection onto the range of a Householder Q the library has
+        just formed, taken without the Gram check: it is orthonormal to
+        O(N eps) by construction."""
+        obj = cls.__new__(cls)
+        obj.basis = q
+        obj.n, obj.rank = q.shape
+        return obj
 
     @classmethod
     def zero(cls, n: int) -> "Projection":
@@ -369,13 +389,27 @@ def general_position_check(p: Projection, q: Projection) -> bool:
 # ----------------------------------------------------------------------
 def _batch_starts(values: np.ndarray, tol: float) -> np.ndarray:
     """Start index of each batch of the sorted-ascending values, a batch
-    being a run that stays within ``tol`` of its first value."""
-    values = values.tolist()
-    starts: list[int] = []
-    for i, value in enumerate(values):
-        if not starts or value - values[starts[-1]] > tol:
-            starts.append(i)
-    return np.array(starts, dtype=int)
+    being a run that stays within ``tol`` of its first value.
+
+    A gap above ``tol`` always starts a batch: rounded subtraction is
+    monotone, so the value after the gap lies more than ``tol`` above
+    every earlier one.  Those starts come from one array comparison; the
+    greedy scan runs only inside a run of smaller gaps that spreads
+    beyond ``tol``."""
+    heads = np.flatnonzero(np.concatenate(([True], values[1:] - values[:-1] > tol)))
+    ends = np.append(heads[1:], values.size)
+    wide = np.flatnonzero(values[ends - 1] - values[heads] > tol)
+    if not wide.size:
+        return heads
+    inner: list[int] = []
+    for head, end in zip(heads[wide].tolist(), ends[wide].tolist()):
+        run = values[head:end].tolist()
+        first = run[0]
+        for i, value in enumerate(run[1:], head + 1):
+            if value - first > tol:
+                inner.append(i)
+                first = value
+    return np.sort(np.concatenate([heads, np.array(inner, dtype=int)]))
 
 
 def _qr_columns(block: np.ndarray, k: int) -> np.ndarray:
@@ -408,35 +442,34 @@ def spectral_max(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     most RANK_RTOL (a tie or a shared direction) the sweep goes on column
     by column with two rounds of classical Gram-Schmidt.
 
-    Acceptance reads R alone.  In general position the output's
-    eigenvectors are formed, and their orthonormality checked to 1e-8, on
-    their first read: an eigenvalue-only caller pays one Householder
-    factorization and no Q, a caller that reads the vectors pays a second
-    factorization with Q.  On the sweep path the vectors are formed and
-    checked at once, from that second factorization.
+    Acceptance reads R's diagonal alone, from the raw factorization.  In
+    general position the output's eigenvectors are formed on their first
+    read, as the Householder Q of a second factorization times unit
+    phases; being orthonormal by construction they take no Gram check.
+    An eigenvalue-only caller pays one factorization and no Q.  On the
+    sweep path the vectors are formed at once and checked to 1e-8, since
+    the sweep builds its columns one by one.
     """
     _check_same_dim(a, b)
     n = a.n
     lam = np.concatenate([a.eigenvalues, b.eigenvalues])
-    merged = np.hstack([a.eigenvectors, b.eigenvectors])
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     # batches of the ascending -lam: (-v_i) - (-v_s) is v_s - v_i exactly
     starts = _batch_starts(-lam, EIG_TIE_TOL)
     levels = np.repeat(lam[starts], np.diff(np.append(starts, lam.size)))
-    block = merged[:, order[:n]]
-    failed = np.flatnonzero(np.abs(np.diagonal(np.linalg.qr(block, mode="r"))) <= RANK_RTOL)
+    top = order[:n]
+    from_a = top < n
+    block = np.empty((n, n), dtype=np.result_type(a.eigenvectors, b.eigenvectors), order="F")
+    block[:, from_a] = a.eigenvectors[:, top[from_a]]
+    block[:, ~from_a] = b.eigenvectors[:, top[~from_a] - n]
+    h, _ = np.linalg.qr(block, mode="raw")
+    failed = np.flatnonzero(np.abs(np.diagonal(h)) <= RANK_RTOL)
     if not failed.size:
-
-        def vectors():
-            basis = _qr_columns(block, n)
-            _check_orthonormal(basis, 1e-8, "eigenvector columns")
-            return basis
-
-        return HermitianMatrix._assemble(levels[:n], vectors)
+        return HermitianMatrix._assemble(levels[:n], lambda: _qr_columns(block, n))
     k = int(failed[0])
     basis = _qr_columns(block, k)
-    vecs = merged[:, order]
+    vecs = np.hstack([a.eigenvectors, b.eigenvectors])[:, order]
     out_vals = np.empty(n)
     out_vals[:k] = levels[:k]
     for j in range(k, lam.size):
@@ -573,22 +606,34 @@ def haar_orthogonal(n: int, seed: int, *path: int, complex_field: bool = False) 
 
 
 def haar_projection(n: int, r: int, seed: int, *path: int) -> Projection:
-    """Projection onto the span of an orthonormalized N x r Gaussian."""
+    """Projection onto the span of an orthonormalized N x r Gaussian: its
+    reduced Householder Q, orthonormal by construction, so the basis
+    takes no Gram check."""
     if not 0 <= r <= n:
         raise CdfError("projection rank must satisfy 0 <= r <= N")
     if r == 0:
         return Projection.zero(n)
     rng = rng_from_seed(seed, *path)
     q, _ = np.linalg.qr(rng.standard_normal((n, r)))
-    return Projection(q)
+    return Projection._from_householder(q)
 
 
 def haar_conjugate(
     a: HermitianMatrix, seed: int, *path: int, complex_field: bool = False
 ) -> HermitianMatrix:
-    """U a U* for Haar U; the spectrum is carried over exactly."""
+    """U a U* for Haar U; the spectrum is carried over exactly.
+
+    For a with identity eigenvectors (a sorted diagonal) U itself is the
+    rotated basis: a Householder Q, taken without forming U I or a Gram
+    check.  Other eigenvectors are rotated and checked by
+    ``from_spectrum``."""
     u = haar_orthogonal(a.n, seed, *path, complex_field=complex_field)
-    return HermitianMatrix.from_spectrum(a.eigenvalues, u @ a.eigenvectors)
+    vecs = a.eigenvectors
+    # the diagonal test settles any other basis at O(N) cost
+    if (np.isrealobj(vecs) and (np.diagonal(vecs) == 1.0).all()
+            and np.count_nonzero(vecs) == a.n):
+        return HermitianMatrix._from_householder(a.eigenvalues, u)
+    return HermitianMatrix.from_spectrum(a.eigenvalues, u @ vecs)
 
 
 # ----------------------------------------------------------------------

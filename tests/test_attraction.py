@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,17 @@ from freemax.attraction import (
     norming_constants,
     rv_check,
 )
-from freemax.cdf import AffineCdf, CdfError, threshold_un
+from freemax.cdf import (
+    MONOTONE_SLACK,
+    AffineCdf,
+    CdfError,
+    SteppedCdf,
+    empirical_cdf,
+    rescale,
+    tabulated_cdf,
+    threshold_un,
+    write_cdf_table,
+)
 from freemax.laws import (
     BetaPowerCdf,
     FrechetCdf,
@@ -101,6 +112,91 @@ def test_closed_form_infinite_mean_is_an_error(spec, monkeypatch):
     monkeypatch.setattr(attraction_module, "_quad_tail_integral", _refuse_quadrature)
     with pytest.raises(CdfError, match="infinite mean"):
         mean_excess(make_law(spec), 10.0)
+
+
+def _exact_table_integrals(law, ts):
+    """The tail integral of a table in exact rationals at each t, from t
+    to the first breakpoint at 1, or to the last one for a table that ends
+    within MONOTONE_SLACK of 1: rectangles of 1 - v_i on steps, trapezoids
+    on linear segments, and 1 below the first breakpoint."""
+    xs = [Fraction(x) for x in law.xs.tolist()]
+    gaps = [1 - Fraction(v) for v in law.vs.tolist()]
+    end = next((i for i, g in enumerate(gaps) if g == 0), len(gaps) - 1)
+    linear = law.interpolation == "linear"
+
+    def piece(i, lo):  # from lo in [x_i, x_{i+1}) to x_{i+1}
+        at_lo = gaps[i]
+        if linear:
+            at_lo += (gaps[i + 1] - gaps[i]) * (lo - xs[i]) / (xs[i + 1] - xs[i])
+            return (xs[i + 1] - lo) * (at_lo + gaps[i + 1]) / 2
+        return (xs[i + 1] - lo) * at_lo
+
+    after = [Fraction(0)] * (end + 1)  # after[i]: from x_i to the end
+    for i in range(end - 1, -1, -1):
+        after[i] = after[i + 1] + piece(i, xs[i])
+    out = []
+    for t in map(Fraction, ts):
+        k = sum(x <= t for x in xs)  # x_{k-1} <= t < x_k
+        assert k <= end, "past the end the integral is infinite"
+        if k == 0:
+            out.append(xs[0] - t + after[0])
+        else:
+            out.append(piece(k - 1, t) + after[k])
+    return out
+
+
+def _tables(tmp_path):
+    rng = rng_from_seed(830, 0)
+    for size in (1, 2, 3, 31, 200):
+        xs = np.cumsum(rng.uniform(0.01, 3.0, size)) - 5.0
+        for last in (1.0, 1.0 - 0.5 * MONOTONE_SLACK):
+            vs = np.append(np.sort(rng.random(size - 1)), last)
+            for interpolation in ("constant", "linear"):
+                yield SteppedCdf(xs, vs, interpolation)
+    yield empirical_cdf(rng.standard_normal(500))
+    for law, grid in ((GpdCdf(0.0), np.linspace(0.0, 30.0, 31)),
+                      (StdNormalCdf(), np.linspace(-8.0, 8.0, 17))):
+        path = str(tmp_path / "table.csv")
+        write_cdf_table(law, grid, path)
+        yield tabulated_cdf(path)
+
+
+def test_table_tail_integral_is_the_exact_sum_within_a_few_ulps(tmp_path):
+    checked = 0
+    for law in _tables(tmp_path):
+        xs = law.xs
+        ts = [xs[0] - 1.5, math.nextafter(xs[0], -math.inf), *xs[:-1],
+              *(0.5 * (xs[1:] + xs[:-1])), *(np.nextafter(xs[1:], -np.inf))]
+        ts = [float(t) for t in ts if t < law.omega]
+        for t, exact in zip(ts, _exact_table_integrals(law, ts)):
+            ours = law._tail_integral(t)
+            assert abs(Fraction(ours) - exact) <= 2 * Fraction(math.ulp(float(exact))), (law, t)
+            checked += 1
+    assert checked > 1000
+
+
+def test_table_mean_excess_takes_no_quadrature(tmp_path, monkeypatch):
+    monkeypatch.setattr(attraction_module, "_quad_tail_integral", _refuse_quadrature)
+    path = str(tmp_path / "table.csv")
+    write_cdf_table(GpdCdf(0.0), np.linspace(0.0, 30.0, 31), path)
+    law = tabulated_cdf(path)
+    # the exponential's mean excess is 1; the chords of the table lie above it
+    assert [round(mean_excess(law, t), 3) for t in (0.0, 5.0, 20.0)] == [1.082, 1.082, 1.082]
+    shifted = rescale(law, 2.0, -1.0)  # F(2 x - 1)
+    assert mean_excess(shifted, 3.0) == mean_excess(law, 5.0) / 2.0
+
+
+def test_table_short_of_one_has_an_infinite_mean(monkeypatch):
+    # past the last breakpoint only the flat tail 1 - v_last is left
+    monkeypatch.setattr(attraction_module, "_quad_tail_integral", _refuse_quadrature)
+    for interpolation in ("constant", "linear"):
+        short = SteppedCdf([0.0, 1.0, 2.0], [0.25, 0.5, 1.0 - 2 * MONOTONE_SLACK], interpolation)
+        within = SteppedCdf([0.0, 1.0, 2.0], [0.25, 0.5, 1.0 - MONOTONE_SLACK], interpolation)
+        for law, t in ((short, 0.5), (within, 2.0), (within, 3.5)):
+            assert law._tail_integral(t) == math.inf
+            with pytest.raises(CdfError, match="infinite mean"):
+                mean_excess(law, t)
+        assert math.isfinite(within._tail_integral(math.nextafter(2.0, 0.0)))
 
 
 # references in 80-digit decimal arithmetic, at the exact a t + b of an affine law

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import freemax
 from freemax.cli import EXIT_INPUT, EXIT_LAW, EXIT_USAGE, dispatch
 from freemax.attraction import mean_excess
-from freemax.cdf import threshold_un, write_cdf_table
-from freemax.laws import LawKind, LawSpec, StdNormalCdf, make_law
+from freemax.cdf import tabulated_cdf, threshold_un, write_cdf_table
+from freemax.laws import GpdCdf, LawKind, LawSpec, StdNormalCdf, make_law
 
 
 def run_json(capsys, argv):
@@ -215,13 +215,26 @@ def test_attract_refuses_a_threshold_past_the_bisection_range(capsys):
     assert "u_n at n=10 lies outside the range +/-1e+300" in err["error"]["message"]
 
 
-def test_attract_type_i_on_a_table_keeps_the_quadrature_doubles(tmp_path, capsys):
-    # a table has no closed-form tail integral: these are the quadrature's doubles
+def test_attract_type_i_on_a_table_takes_the_trapezoid_sum(tmp_path, capsys):
+    # the tail integral of a linear table is its trapezoid sum: within
+    # quad's 1e-10 tolerance of the doubles quadrature gave before
     path = tmp_path / "normal.csv"
     write_cdf_table(StdNormalCdf(), np.linspace(-8.0, 8.0, 17), str(path))
     doc = run_json(capsys, ["attract", "--law-csv", str(path), "--type", "I", "--n", "10,100"])
-    assert [c["a_n"] for c in doc["payload"]["constants"]] == [0.4764314114754783,
-                                                               0.3000756078544657]
+    a_n = [c["a_n"] for c in doc["payload"]["constants"]]
+    assert a_n == [0.4764314114706376, 0.3000756078538924]
+    assert a_n == pytest.approx([0.4764314114754783, 0.3000756078544657], rel=1e-10)
+
+
+def test_attract_type_i_on_a_31_point_table_exits_cleanly(tmp_path, capsys):
+    # quad met a kink at each of the 31 breakpoints and exited 4
+    path = tmp_path / "exp.csv"
+    write_cdf_table(GpdCdf(0.0), np.linspace(0.0, 30.0, 31), str(path))
+    doc = run_json(capsys, ["attract", "--law-csv", str(path), "--type", "I", "--n", "10,100"])
+    law = tabulated_cdf(str(path))
+    for row in doc["payload"]["constants"]:
+        assert row["a_n"] == mean_excess(law, row["b_n"])
+        assert 0.95 < row["a_n"] < 1.0  # the exponential's mean excess is 1
 
 
 def test_rv_check_refuses_scales_that_are_not_positive(capsys):
@@ -495,7 +508,8 @@ def test_orjson_loads_only_at_the_first_table_or_sample_file(tmp_path):
 
 def test_closed_form_laws_run_without_integrate_or_optimize(tmp_path):
     # every subcommand on laws with closed forms, the Type I mean excess
-    # included, stays clear of quad; a table's mean excess still needs it
+    # of a table included, stays clear of quad; a Weibull mean excess
+    # still needs it
     runs = [
         ["law", "--law", '{"kind":"ClassicalGumbel"}', "--out", "g.csv"],
         ["conv", "--law", '{"kind":"FreeTypeI"}', "--law2", '{"kind":"StdNormal"}',
@@ -513,6 +527,8 @@ def test_closed_form_laws_run_without_integrate_or_optimize(tmp_path):
          "--u-list", "2,4", "--out", "p.json"],
         ["law", "--law", '{"kind":"StdNormal"}', "--grid=-8,8,17", "--out", "n.csv"],
         ["attract", "--law-csv", "n.csv", "--type", "I", "--n", "10,100", "--out", "q.json"],
+        ["attract", "--law", '{"kind":"ClassicalWeibull","shape":2}', "--type", "I",
+         "--n", "10,100", "--out", "w.json"],
     ]
     code = "from freemax.cli import dispatch\n" + "".join(
         f"assert dispatch({argv!r}) == 0\nSHOW\n" for argv in runs

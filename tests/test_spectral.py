@@ -89,6 +89,61 @@ def test_from_spectrum_rejects_non_orthonormal_vectors():
         HermitianMatrix.from_spectrum(np.arange(5.0), haar_orthogonal(6, 3))
 
 
+def test_haar_conjugate_checks_eigenvectors_that_are_not_the_identity():
+    # vectors that never met a check (set through the private assembler)
+    # are rotated and then refused by from_spectrum's Gram check
+    vecs = haar_orthogonal(6, 3)
+    vecs[:, 2] *= 1.0 + 1e-6
+    with pytest.raises(CdfError, match="not orthonormal"):
+        haar_conjugate(HermitianMatrix._assemble(np.arange(6.0), vecs), 4)
+    near_identity = np.eye(6)
+    near_identity[0, 1] = 1e-6
+    with pytest.raises(CdfError, match="not orthonormal"):
+        haar_conjugate(HermitianMatrix._assemble(np.arange(6.0), near_identity), 4)
+
+
+def test_library_bases_still_refuse_non_finite_eigenvalues():
+    spiked = HermitianMatrix(np.diag([0.0, 1.0, 2.0])).apply(
+        lambda lam: np.where(lam > 0.0, lam, math.inf))
+    with pytest.raises(CdfError, match="finite"):
+        haar_conjugate(spiked, 5)
+    with pytest.raises(CdfError, match="finite"):
+        HermitianMatrix._from_householder([0.0, math.inf, 1.0], haar_orthogonal(3, 5))
+
+
+def _gram_error(vecs):
+    return float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1]))))
+
+
+@pytest.mark.parametrize("n", [6, 50, 256, 400])
+def test_unchecked_library_bases_pass_the_checks_they_used_to_face(n):
+    from freemax.spectral import _check_orthonormal
+
+    worst = 0.0
+    for seed in (11, 12, 13):
+        for complex_field in (False, True):
+            u = haar_orthogonal(n, seed, 0, complex_field=complex_field)
+            _check_orthonormal(u, 1e-8, "Haar orthogonal columns")
+            worst = max(worst, _gram_error(u))
+            # the diagonal conjugate takes U itself: U I, bit for bit
+            d = HermitianMatrix(np.diag(np.sort(rng_from_seed(seed, n).random(n))))
+            c = haar_conjugate(d, seed, 0, complex_field=complex_field)
+            assert c.eigenvectors.tobytes() == (u @ d.eigenvectors).tobytes()
+            assert c.eigenvalues.tobytes() == d.eigenvalues.tobytes()
+        for r in sorted({1, n // 3, n - 1, n}):
+            p = haar_projection(n, r, seed, 1)
+            assert p.rank == r and p.n == n
+            _check_orthonormal(p.basis, 1e-10, "projection basis columns")
+            worst = max(worst, _gram_error(p.basis))
+        for a, b in (_random_pair(n, seed), _complex_pair(n, seed)):
+            top = spectral_max(a, b)
+            assert "eigenvectors" not in vars(top)  # general position
+            _check_orthonormal(top.eigenvectors, 1e-8, "eigenvector columns")
+            worst = max(worst, _gram_error(top.eigenvectors))
+    # Householder bases sit far inside both tolerances
+    assert worst <= 1e-13
+
+
 def test_hermitian_keeps_its_input_array():
     rng = rng_from_seed(8, 0)
     x = rng.standard_normal((9, 9))
@@ -438,6 +493,51 @@ def _reference_spectral_max(a, b):
     return HermitianMatrix.from_spectrum(np.asarray(out_vals), np.column_stack(out_cols))
 
 
+def _greedy_batch_starts(values, tol):
+    """The per-value scan ``_batch_starts`` replaced."""
+    values = values.tolist()
+    starts = []
+    for i, value in enumerate(values):
+        if not starts or value - values[starts[-1]] > tol:
+            starts.append(i)
+    return np.array(starts, dtype=int)
+
+
+def _batch_arrays():
+    rng = rng_from_seed(820, 0)
+    yield np.array([0.25]), EIG_TIE_TOL
+    yield np.full(7, 0.5), EIG_TIE_TOL
+    for size in (2, 5, 40, 800):
+        uniform = np.sort(rng.random(size))
+        lattice = np.sort(rng.integers(0, 64, size) / 2048.0)
+        near = np.sort(np.repeat(rng.random(size // 2 + 1), 2)[:size]
+                       + 1e-9 * rng.random(size))
+        chain = np.cumsum(np.full(size, 0.6e-9)) + 0.3
+        for values in (uniform, lattice, near, chain, -uniform[::-1], -near[::-1]):
+            yield values, EIG_TIE_TOL
+            yield values, 1e-12 * max(1.0, float(np.max(np.abs(values))))
+            # tolerances equal to gaps and spans of the array, and one ulp
+            # either side: every comparison meets its boundary somewhere
+            for i in range(1, values.size, max(1, values.size // 6)):
+                for width in (1, 2, 3):
+                    if i - 1 + width < values.size:
+                        gap = float(values[i - 1 + width] - values[i - 1])
+                        yield values, gap
+                        yield values, math.nextafter(gap, -math.inf)
+                        yield values, math.nextafter(gap, math.inf)
+
+
+def test_batch_starts_is_the_greedy_scan_bit_for_bit():
+    from freemax.spectral import _batch_starts
+
+    count = 0
+    for values, tol in _batch_arrays():
+        ours, want = _batch_starts(values, tol), _greedy_batch_starts(values, tol)
+        assert ours.dtype == want.dtype and ours.tobytes() == want.tobytes(), (values, tol)
+        count += 1
+    assert count > 900
+
+
 def _qr_front(a, b):
     """How many leading merged columns the Householder QR accepts."""
     lam = np.concatenate([a.eigenvalues, b.eigenvalues])
@@ -566,6 +666,7 @@ EXACTNESS_CASES = dict(
     generic_haar_256=(lambda: _random_pair(256, 814), "qr"),
     generic_complex_60=(lambda: _complex_pair(60, 815), "qr"),
     near_one_spectra=(lambda: _random_pair(64, 816, lo=0.993, hi=1.0), "qr"),
+    real_v_complex_50=(lambda: (_random_pair(50, 819)[0], _complex_pair(50, 819)[1]), "qr"),
 )
 
 
@@ -601,18 +702,18 @@ def test_eigenvalue_only_callers_factor_once_and_form_no_q(monkeypatch):
     top = spectral_max(a, b)
     low = spectral_min(a, b)
     assert not spectral_leq(a, b) and not spectral_leq(b, a)
-    # one R-only factorization per sup, those of spectral_leq included
-    assert [c.get("mode") for c in qr_calls] == ["r"] * 4
+    # one raw factorization per sup, those of spectral_leq included
+    assert [c.get("mode") for c in qr_calls] == ["raw"] * 4
     assert not checks
     derived = low.shifted(1.0)
     assert "eigenvectors" not in vars(low) and "eigenvectors" not in vars(top)
     vecs = derived.eigenvectors
-    # reading forms Q once and checks it once; the parent keeps the result
+    # reading forms Q once, a Householder Q that takes no Gram check; the
+    # parent keeps the result
     assert [c.get("mode") for c in qr_calls[4:]] == [None]
-    assert len(checks) == 1
     assert "eigenvectors" in vars(low) and derived.eigenvectors is vecs
     low.array, derived.array, top.eigenvalues
-    assert len(qr_calls) == 5 and len(checks) == 1
+    assert len(qr_calls) == 5 and not checks
 
 
 def test_sweep_path_forms_and_checks_its_vectors_at_once(monkeypatch):
