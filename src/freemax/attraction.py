@@ -388,7 +388,8 @@ def fit_gpd(exceedances: Sequence[float]) -> GpdFit:
     w = log1p(theta max x), limited to the constraint set
 
     * gamma in [-5, 5] (gamma(theta) increases with theta, so both ends
-      are bracketed by root finding), and
+      are bracketed by root finding, and a fit whose bracket root lies
+      past the bound is moved inward to the last w within it), and
     * for gamma < 0, the support margin sigma >= |gamma| max x (1 + 1e-8),
       i.e. w >= log1p(-1/(1 + 1e-8)), which keeps the likelihood bounded.
 
@@ -451,13 +452,21 @@ def fit_gpd(exceedances: Sequence[float]) -> GpdFit:
     best = int(np.argmax([c[0] for c in scanned]))
     w_best = _fminbound(lambda w: -profile(w)[0],
                         scan[max(best - 1, 0)], scan[min(best + 1, scan.size - 1)])
-    found = max(scanned[best], profile(w_best), key=lambda c: (c[0], -abs(c[1])))
+    w_found, found = max((scan[best], scanned[best]), (w_best, profile(w_best)),
+                         key=lambda wc: (wc[1][0], -abs(wc[1][1])))
     candidates = [found, profile(0.0)]
     top = max(c[0] for c in candidates)
     tol = 1e-9 * (1.0 + abs(top))
     ll_hat, gamma_hat, sigma_hat = min(
         (c for c in candidates if c[0] >= top - tol), key=lambda c: abs(c[1])
     )
+    if abs(gamma_hat) > 5.0:
+        # a bracket root just past gamma = +-5: gamma is 0 at w = 0 and
+        # increases with w, so bisect to the last w inside the bound
+        out, inside = w_found, 0.0
+        while (mid := 0.5 * (out + inside)) not in (out, inside):
+            out, inside = (mid, inside) if abs(profile(mid)[1]) > 5.0 else (out, mid)
+        ll_hat, gamma_hat, sigma_hat = profile(inside)
     return GpdFit(float(gamma_hat), float(sigma_hat), int(n), float(ll_hat))
 
 

@@ -225,7 +225,10 @@ class Cdf:
     the tail integral from a x + b; a leaf with a finite endpoint folds
     the map into its one endpoint formula there, and the endpoint-gap
     tail ``_tail_gap(h)`` is that hook at x -> x + omega, read at -h.
-    Instances are immutable; all operations are pure, so concurrent reads
+    Hooks just compute their formulas: the methods that call them ignore
+    numpy's floating-point flags, since an overflow or a division by zero
+    gives the right value (exp(-inf) = 0) or a lane a ``where`` drops, so a
+    clamp stays only where it decides a selected lane.  Instances are immutable; all operations are pure, so concurrent reads
     are safe.
     """
 
@@ -323,15 +326,16 @@ class Cdf:
     # public evaluation
     # ------------------------------------------------------------------
     def _eval(self, fn, x):
-        """``fn`` clipped to [0, 1].  A scalar skips the array wrapping and
-        is clipped by comparisons, which keep NaN and -0.0 as ``clip`` does."""
-        if isinstance(x, (float, int)):
-            v = float(fn(np.array([x], dtype=float))[0])
-            return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
-        arr = _as_float_array(x)
-        scalar = arr.ndim == 0
-        out = fn(np.atleast_1d(arr)).clip(0.0, 1.0)
-        return float(out[0]) if scalar else out.reshape(arr.shape)
+        """``fn`` clipped to [0, 1], numpy's flags ignored.  A scalar skips the
+        array wrapping and is clipped by comparisons, which keep NaN and
+        -0.0 as ``clip`` does."""
+        with np.errstate(all="ignore"):
+            if isinstance(x, (float, int)):
+                v = float(fn(np.array([x], dtype=float))[0])
+                return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+            arr = _as_float_array(x)
+            out = fn(np.atleast_1d(arr)).clip(0.0, 1.0)
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def value(self, x):
         """F(x); accepts scalars or arrays, including +/-inf."""
@@ -367,7 +371,8 @@ class Cdf:
         if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise CdfError("quantile level must lie in [0, 1]")
         scalar = arr.ndim == 0
-        out = self._quantile(np.atleast_1d(arr).astype(float))
+        with np.errstate(all="ignore"):
+            out = self._quantile(np.atleast_1d(arr).astype(float))
         out = np.where(np.atleast_1d(arr) <= 0.0, -math.inf, out)
         return float(out[0]) if scalar else out.reshape(arr.shape)
 
@@ -476,8 +481,7 @@ class SteppedCdf(Cdf):
             return np.where(idx >= self.vs.size, math.inf, self.xs[np.clip(idx, 0, self.vs.size - 1)])
         j = np.clip(np.searchsorted(self.vs, p, side="left"), 1, self.vs.size - 1)
         x0, x1, v0, v1 = self.xs[j - 1], self.xs[j], self.vs[j - 1], self.vs[j]
-        with np.errstate(divide="ignore", invalid="ignore"):  # v1 > v0 wherever selected
-            inner = x0 + (p - v0) * (x1 - x0) / (v1 - v0)
+        inner = x0 + (p - v0) * (x1 - x0) / (v1 - v0)  # v1 > v0 wherever selected
         return np.select([p > self.vs[-1], p <= self.vs[0]], [math.inf, self.xs[0]], inner)
 
 

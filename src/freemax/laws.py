@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -83,14 +84,13 @@ _NEEDS_POSITIVE_SHAPE = {
 
 
 def _finite_float(value, name: str) -> float:
-    """A law parameter from JSON as a finite float, else ``CdfError``."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise CdfError(f"law {name} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
+    """A law parameter from JSON as a finite float, else ``CdfError``: a
+    JSON number, not a boolean or a string that spells one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CdfError(f"law {name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # exact for an integer of any size
         raise CdfError(f"law {name} must be finite, got {value!r}")
-    return number
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -189,12 +189,10 @@ class ParetoCdf(Cdf):
         self._omega_cache = math.inf
 
     def _value(self, x):
-        safe = np.maximum(x, 1.0)
-        return np.where(x <= 1.0, 0.0, -np.expm1(-self.shape * np.log(safe)))
+        return np.where(x <= 1.0, 0.0, -np.expm1(-self.shape * np.log(x)))
 
     def _tail(self, x):
-        safe = np.maximum(x, 1.0)
-        return np.where(x <= 1.0, 1.0, safe ** (-self.shape))
+        return np.where(x <= 1.0, 1.0, x ** (-self.shape))
 
     def _tail_integral(self, t):
         if self.shape <= 1.0:
@@ -204,8 +202,7 @@ class ParetoCdf(Cdf):
         return self.tail(t) * t / (self.shape - 1.0)
 
     def _quantile(self, p):
-        with np.errstate(divide="ignore"):
-            return np.exp(-np.log1p(-p) / self.shape)
+        return np.exp(-np.log1p(-p) / self.shape)
 
 
 class BetaPowerCdf(Cdf):
@@ -247,12 +244,10 @@ class GpdCdf(Cdf):
 
     def _log_tail(self, x):
         g = self.gamma
-        xp = np.maximum(x, 0.0)
         if g == 0.0:
-            return -xp
-        with np.errstate(divide="ignore", over="ignore"):
-            arg = np.maximum(1.0 + g * xp, 0.0)
-            return np.where(arg > 0.0, -np.log(arg) / g, -math.inf)
+            return -x
+        arg = np.maximum(1.0 + g * x, 0.0)
+        return np.where(arg > 0.0, -np.log(arg) / g, -math.inf)
 
     def _tail(self, x):
         return np.where(x <= 0.0, 1.0, np.exp(self._log_tail(x)))
@@ -273,10 +268,9 @@ class GpdCdf(Cdf):
         return self.tail(t) * rise / (1.0 - g)
 
     def _quantile(self, p):
-        with np.errstate(divide="ignore", over="ignore"):
-            if self.gamma == 0.0:
-                return -np.log1p(-p)
-            return np.expm1(-self.gamma * np.log1p(-p)) / self.gamma
+        if self.gamma == 0.0:
+            return -np.log1p(-p)
+        return np.expm1(-self.gamma * np.log1p(-p)) / self.gamma
 
 
 class GumbelCdf(Cdf):
@@ -285,12 +279,11 @@ class GumbelCdf(Cdf):
         self._alpha_cache = -math.inf
         self._omega_cache = math.inf
 
-    # exp(-exp(709)) is already 0, so the inner exp need not overflow
     def _value(self, x):
-        return np.exp(-np.exp(-np.maximum(x, -709.0)))
+        return np.exp(-np.exp(-x))
 
     def _tail(self, x):
-        return -np.expm1(-np.exp(-np.maximum(x, -709.0)))
+        return -np.expm1(-np.exp(-x))
 
     def _tail_integral(self, t):
         # Ein(z) at z = exp(-t) (DLMF 6.6.4), as the tail 1 - exp(-z) times
@@ -309,8 +302,7 @@ class GumbelCdf(Cdf):
         return tail * (1.0 + math.fsum(terms) / tail)
 
     def _quantile(self, p):
-        with np.errstate(divide="ignore"):
-            return -np.log(-np.log(p))
+        return -np.log(-np.log(p))
 
 
 class FrechetCdf(Cdf):
@@ -323,18 +315,13 @@ class FrechetCdf(Cdf):
         self._omega_cache = math.inf
 
     def _value(self, x):
-        safe = np.maximum(x, 1e-300)
-        with np.errstate(over="ignore"):
-            return np.where(x <= 0.0, 0.0, np.exp(-(safe ** (-self.shape))))
+        return np.where(x <= 0.0, 0.0, np.exp(-(x ** (-self.shape))))
 
     def _tail(self, x):
-        safe = np.maximum(x, 1e-300)
-        with np.errstate(over="ignore"):
-            return np.where(x <= 0.0, 1.0, -np.expm1(-(safe ** (-self.shape))))
+        return np.where(x <= 0.0, 1.0, -np.expm1(-(x ** (-self.shape))))
 
     def _quantile(self, p):
-        with np.errstate(divide="ignore"):
-            return (-np.log(p)) ** (-1.0 / self.shape)
+        return (-np.log(p)) ** (-1.0 / self.shape)
 
 
 class WeibullCdf(Cdf):
@@ -349,18 +336,13 @@ class WeibullCdf(Cdf):
         self._omega_cache = 0.0
 
     def _value(self, x):
-        neg = np.minimum(x, 0.0)
-        with np.errstate(over="ignore"):
-            return np.where(x >= 0.0, 1.0, np.exp(-(np.abs(neg) ** self.shape)))
+        return np.where(x >= 0.0, 1.0, np.exp(-(np.abs(x) ** self.shape)))
 
     def _tail(self, x):
-        neg = np.minimum(x, 0.0)
-        with np.errstate(over="ignore"):
-            return np.where(x >= 0.0, 0.0, -np.expm1(-(np.abs(neg) ** self.shape)))
+        return np.where(x >= 0.0, 0.0, -np.expm1(-(np.abs(x) ** self.shape)))
 
     def _quantile(self, p):
-        with np.errstate(divide="ignore"):
-            return -((-np.log(p)) ** (1.0 / self.shape))
+        return -((-np.log(p)) ** (1.0 / self.shape))
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -408,10 +390,7 @@ def standard_cauchy() -> Cdf:
         return 0.5 + np.arctan(x) / math.pi
 
     def tail_fn(x):
-        pos = np.maximum(x, 0.0)
-        with np.errstate(divide="ignore"):
-            upper = np.arctan(1.0 / np.maximum(pos, 1e-300)) / math.pi
-        return np.where(x > 0.0, upper, 0.5 - np.arctan(x) / math.pi)
+        return np.where(x > 0.0, np.arctan(1.0 / x) / math.pi, 0.5 - np.arctan(x) / math.pi)
 
     def quantile_fn(p):
         return np.tan(math.pi * (p - 0.5))
@@ -429,8 +408,7 @@ def log_perturbed_pareto(alpha: float = 2.0) -> Cdf:
         raise CdfError("shape must be positive")
 
     def tail_fn(x):
-        safe = np.maximum(x, 1.0)
-        return np.where(x <= 1.0, 1.0, safe ** (-alpha) / (1.0 + np.log(safe)))
+        return np.where(x <= 1.0, 1.0, x ** (-alpha) / (1.0 + np.log(x)))
 
     return FunctionCdf(tail_fn=tail_fn, alpha=1.0, omega=math.inf)
 
@@ -501,9 +479,7 @@ class FcCdf(Cdf):
 
     def _image_tail(self, parent_tail):
         # 1 - (1 + c ln F)_+ = min(c * (-ln F), 1), through the parent tail
-        with np.errstate(divide="ignore", invalid="ignore"):
-            neg_log = -np.log1p(-np.minimum(parent_tail, 1.0))
-        neg_log = np.where(parent_tail >= 1.0, math.inf, neg_log)
+        neg_log = np.where(parent_tail >= 1.0, math.inf, -np.log1p(-parent_tail))
         return np.minimum(self.c * neg_log, 1.0)
 
     def _tail(self, x):

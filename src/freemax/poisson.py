@@ -76,7 +76,11 @@ class Partition:
         raw = json.loads(text)
         if not isinstance(raw, dict) or "atoms" not in raw:
             raise CdfError("partition JSON must be an object with an 'atoms' array")
-        return cls.from_pairs((a["id"], a["mass"]) for a in raw["atoms"])
+        pairs = [(a["id"], a["mass"]) for a in raw["atoms"]]
+        for atom_id, mass in pairs:
+            if isinstance(mass, bool) or not isinstance(mass, (int, float)):
+                raise CdfError(f"atom {atom_id!r} needs a numeric mass, got {mass!r}")
+        return cls.from_pairs(pairs)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -250,18 +254,15 @@ class TriangularCdf(Cdf):
         self._alpha_cache = max(0.0, 1.0 - 1.0 / self.m)
         self._omega_cache = 1.0
 
-    # m x past the largest double is clipped, so its overflow is harmless
     def _value(self, x):
-        with np.errstate(over="ignore"):
-            return np.where(x < 0.0, 0.0, np.clip((1.0 - self.m) + self.m * x, 0.0, 1.0))
+        return np.where(x < 0.0, 0.0, np.clip((1.0 - self.m) + self.m * x, 0.0, 1.0))
 
     def _tail(self, x):
         return self._tail_affine(1.0, 0.0, x)
 
     def _tail_affine(self, a, b, x):
         # tail 1 below the atom at zero; at the gap map (1, 1, -h), h > 1
-        with np.errstate(over="ignore"):
-            inner = np.clip(self.m * ((1.0 - b) - a * x), 0.0, 1.0)
+        inner = np.clip(self.m * ((1.0 - b) - a * x), 0.0, 1.0)
         return np.where(a * x + b < 0.0, 1.0, inner)
 
     def _left(self, x):

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cdf import CdfError, SteppedCdf, _float_reprs
+from .cdf import _CSV, CdfError, SteppedCdf, _float_reprs, _loadtxt
 
 __all__ = [
     "HermitianMatrix",
@@ -661,7 +661,9 @@ def write_matrix_csv(a: HermitianMatrix, path: str) -> str:
 
 
 def read_matrix_csv(path: str) -> HermitianMatrix:
-    return HermitianMatrix(np.loadtxt(path, delimiter=",", comments=None, ndmin=2))
+    """A matrix written by ``write_matrix_csv``, read as the CDF tables are."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return HermitianMatrix(_loadtxt(fh, path, **_CSV))
 
 
 def write_eigenvalues_csv(a: HermitianMatrix, path: str) -> str:

@@ -607,6 +607,17 @@ def test_fit_gpd_brackets_a_sample_whose_min_ratio_underflows():
     assert math.isfinite(fit.log_likelihood)
 
 
+@pytest.mark.parametrize("sample", [
+    10.0 ** np.linspace(-100, 0, 100),  # the gamma = 5 bracket root lay past the bound
+    np.concatenate([np.ones(32), np.linspace(0.0, 1.0, 101)[1:-1]]),  # likewise at -5
+], ids=["upper", "lower"])
+def test_fit_gpd_returns_a_shape_within_its_bound(sample):
+    fit = fit_gpd(sample)
+    assert -5.0 <= fit.gamma_hat <= 5.0
+    assert abs(fit.gamma_hat) == pytest.approx(5.0, abs=1e-8)
+    assert math.isfinite(fit.log_likelihood) and fit.sigma_hat > 0.0
+
+
 def test_fit_gpd_rejects_small_and_degenerate():
     with pytest.raises(CdfError):
         fit_gpd([1.0] * 10)

@@ -39,7 +39,7 @@ def test_law_table_point_values(tmp_path):
         ["law", "--law", '{"kind":"Uniform"}', "--grid", "0,1,3", "--out", str(out)]
     )
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["x", "F"]
     values = [(float(x), float(v)) for x, v in rows[1:]]
     assert values == [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)]
@@ -66,7 +66,7 @@ def test_law_table_round_trip(tmp_path):
 
 
 def run_json_from_table(path):
-    rows = list(csv.reader(path.open()))[1:]
+    rows = list(csv.reader(path.read_text().splitlines()))[1:]
     return [(float(x), float(v)) for x, v in rows]
 
 
@@ -364,7 +364,7 @@ def test_poisson_eig_dump(tmp_path):
          "--trials", "1", "--seed", "3", "--dump-eigs", str(dump), "--out", str(out)]
     )
     assert code == 0
-    rows = list(csv.reader(dump.open()))
+    rows = list(csv.reader(dump.read_text().splitlines()))
     assert rows[0] == ["index", "lambda"]
     assert len(rows) == 65
 
@@ -562,6 +562,14 @@ def test_invalid_law_error(capsys):
     assert code == EXIT_LAW
 
 
+@pytest.mark.parametrize("field", ['"shape":true', '"shape":"2"', '"scale":false'])
+def test_a_law_parameter_that_is_no_json_number_is_a_law_error(capsys, field):
+    code, err = run_error(capsys, ["law", "--law", '{"kind":"FreeTypeII",%s}' % field,
+                                   "--grid", "1,2,3"])
+    assert code == EXIT_LAW
+    assert "must be a number" in err["error"]["message"]
+
+
 @pytest.mark.parametrize(
     "argv,codes",
     [
@@ -732,9 +740,11 @@ def test_poisson_drops_empty_ids(tmp_path, capsys, subsets, groups):
         ("part.json", '{"atoms": [{"id": "1", "mass": "heavy"}]}'),
         ("part.json", '{"atoms": [{"id": "1", "mass": NaN}]}'),
         ("part.json", '{"atoms": [{"id": "1", "mass": 12}, {"id": "2", "mass": 8}]}'),
+        ("part.json", '{"atoms": [{"id": "1", "mass": true}]}'),
+        ("part.json", '{"atoms": [{"id": "1", "mass": "0.5"}]}'),
     ],
     ids=["sample_word", "sample_short_csv_row", "table_word", "table_short_row", "table_nan",
-         "mass_word", "mass_nan", "total_mass_above_bound"],
+         "mass_word", "mass_nan", "total_mass_above_bound", "mass_true", "mass_string"],
 )
 def test_malformed_input_files_are_input_errors(tmp_path, capsys, name, text):
     path = tmp_path / name

@@ -7,6 +7,7 @@ import pytest
 from freemax.attraction import NormingConstants, convergence_report
 from freemax.cdf import (
     CdfError,
+    FunctionCdf,
     classical_max_conv,
     comparison_grid,
     free_max_conv,
@@ -30,8 +31,10 @@ from freemax.laws import (
     f_c_map,
     gpd_correspondence,
     law_catalog,
+    log_perturbed_pareto,
     make_law,
     stability_constants,
+    standard_cauchy,
     verify_max_stable,
 )
 from freemax.poisson import mp_cdf, triangular_law_cdf
@@ -66,17 +69,152 @@ _BIG = np.finfo(float).max
 _EXTREME_POINTS = [1e300, -1e300, _BIG, -_BIG, math.inf, -math.inf, 5e-324, -5e-324, math.nan]
 
 
+#: (location, scale) of the sweep: a scale below 1 makes a x + b overflow
+_SWEEP_MAPS = ((0.0, 1.0), (0.4, 1.37), (0.4, 0.5), (0.4, 1e-3))
+_EXTREME_LEVELS = [0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0]
+
+
+def _derived_laws(law):
+    """The law and three images the calculus builds from it: its free max
+    power, its f_c image and its free max convolution with itself."""
+    return law, free_max_power(law, 7.5), f_c_map(law, 0.8), free_max_conv(law, law)
+
+
 @pytest.mark.parametrize("kind", list(LawKind), ids=lambda k: k.value)
 def test_laws_evaluate_extreme_arguments_without_a_warning(kind):
+    # numpy's flags belong to the evaluation methods: no law, affine image,
+    # derived law, endpoint gap or quantile warns, on arrays or on scalars
     for shape in _EXTREME_SHAPES.get(kind, (None,)):
-        for location, scale in ((0.0, 1.0), (0.4, 1.37)):
-            law = make_law(LawSpec(kind, shape=shape, location=location, scale=scale))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                for method in (law.value, law.tail, law.left):
-                    values = method(np.array(_EXTREME_POINTS))
-                    assert [method(x) for x in _EXTREME_POINTS] == pytest.approx(
-                        values.tolist(), nan_ok=True)
+        for location, scale in _SWEEP_MAPS:
+            base = make_law(LawSpec(kind, shape=shape, location=location, scale=scale))
+            for law in _derived_laws(base):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    methods = [law.value, law.tail, law.left]
+                    if math.isfinite(law.omega):
+                        methods.append(law.tail_gap)
+                    for method in methods:
+                        values = method(np.array(_EXTREME_POINTS))
+                        assert [method(x) for x in _EXTREME_POINTS] == pytest.approx(
+                            values.tolist(), nan_ok=True)
+                    levels = law.quantile(np.array(_EXTREME_LEVELS))
+                    assert [law.quantile(p) for p in _EXTREME_LEVELS] == pytest.approx(
+                        levels.tolist())
+
+
+#: random bit patterns (NaNs, infinities and subnormals among them) and the specials
+_BIT_POINTS = np.concatenate([
+    np.random.default_rng(29).integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64),
+    _EXTREME_POINTS, [0.0, -0.0, 1.0, -1.0, 709.0, -709.0, 709.79, -709.79, -745.2, 1e-300],
+])
+
+
+def _bits(values):
+    """The bit patterns of ``values``, with every NaN as one pattern."""
+    values = np.where(np.isnan(values), math.nan, values)
+    return values.view(np.uint64)
+
+
+# reference formulas with their warning-only guards, which the laws no
+# longer carry: without a guard, every selected lane keeps its bits
+def _guarded_pareto(shape):
+    def value(x):
+        return np.where(x <= 1.0, 0.0, -np.expm1(-shape * np.log(np.maximum(x, 1.0))))
+
+    def tail(x):
+        return np.where(x <= 1.0, 1.0, np.maximum(x, 1.0) ** (-shape))
+
+    return value, tail
+
+
+def _guarded_gpd(g):
+    def log_tail(x):
+        xp = np.maximum(x, 0.0)
+        if g == 0.0:
+            return -xp
+        arg = np.maximum(1.0 + g * xp, 0.0)
+        return np.where(arg > 0.0, -np.log(arg) / g, -math.inf)
+
+    return (lambda x: np.where(x <= 0.0, 0.0, -np.expm1(log_tail(x))),
+            lambda x: np.where(x <= 0.0, 1.0, np.exp(log_tail(x))))
+
+
+def _guarded_gumbel():
+    return (lambda x: np.exp(-np.exp(-np.maximum(x, -709.0))),
+            lambda x: -np.expm1(-np.exp(-np.maximum(x, -709.0))))
+
+
+def _guarded_weibull(shape):
+    def value(x):
+        return np.where(x >= 0.0, 1.0, np.exp(-(np.abs(np.minimum(x, 0.0)) ** shape)))
+
+    def tail(x):
+        return np.where(x >= 0.0, 0.0, -np.expm1(-(np.abs(np.minimum(x, 0.0)) ** shape)))
+
+    return value, tail
+
+
+def _guarded_frechet(shape):
+    def value(x):
+        return np.where(x <= 0.0, 0.0, np.exp(-(np.maximum(x, 1e-300) ** (-shape))))
+
+    def tail(x):
+        return np.where(x <= 0.0, 1.0, -np.expm1(-(np.maximum(x, 1e-300) ** (-shape))))
+
+    return value, tail
+
+
+def _guarded_cauchy_tail(x):
+    pos = np.maximum(x, 0.0)
+    upper = np.arctan(1.0 / np.maximum(pos, 1e-300)) / math.pi
+    return np.where(x > 0.0, upper, 0.5 - np.arctan(x) / math.pi)
+
+
+def _guarded_log_pareto_tail(x):
+    safe = np.maximum(x, 1.0)
+    return np.where(x <= 1.0, 1.0, safe ** (-2.0) / (1.0 + np.log(safe)))
+
+
+def _guarded_fc_image_tail(c):
+    # f_c over a "tail" that is its argument: every double, NaN, 1 and above 1
+    def tail(x):
+        neg_log = -np.log1p(-np.minimum(x, 1.0))
+        return np.minimum(c * np.where(x >= 1.0, math.inf, neg_log), 1.0)
+
+    return tail
+
+
+_GUARDED = [
+    *[(f"pareto_{a}", ParetoCdf(a), *_guarded_pareto(a)) for a in (0.3, 1.7)],
+    *[(f"gpd_{g}", GpdCdf(g), *_guarded_gpd(g)) for g in (-0.5, 0.0, 2.0)],
+    ("gumbel", GumbelCdf(), *_guarded_gumbel()),
+    *[(f"weibull_{a}", WeibullCdf(a), *_guarded_weibull(a)) for a in (0.3, 1.7)],
+    *[(f"frechet_{a}", FrechetCdf(a), *_guarded_frechet(a)) for a in (0.3, 1.7, 0.001)],
+    ("cauchy", standard_cauchy(), None, _guarded_cauchy_tail),
+    ("log_pareto", log_perturbed_pareto(2.0), None, _guarded_log_pareto_tail),
+    ("f_c_image", f_c_map(FunctionCdf(tail_fn=lambda x: x), 0.8), None,
+     _guarded_fc_image_tail(0.8)),
+]
+
+
+@pytest.mark.parametrize("name,law,value,tail", _GUARDED, ids=[g[0] for g in _GUARDED])
+def test_formulas_without_their_guards_keep_every_bit(name, law, value, tail):
+    x = _BIT_POINTS
+    # the Frechet clamp at 1e-300 was no mere guard: below it, see the next test
+    kept = ~((x > 0.0) & (x < 1e-300)) if name.startswith("frechet") else np.ones(x.size, bool)
+    with np.errstate(all="ignore"):
+        for hook, guarded in ((law._value, value), (law._tail, tail)):
+            if guarded is not None:
+                assert np.array_equal(_bits(hook(x)[kept]), _bits(guarded(x)[kept]))
+
+
+@pytest.mark.parametrize("shape", [0.001, 0.009, 0.3])
+def test_frechet_law_is_exact_at_subnormal_arguments(shape):
+    # exp(-x^-shape) itself down to the least subnormal, not F(1e-300)
+    law = FrechetCdf(shape)
+    for x in (5e-324, 1e-320, 1e-310, 2.2e-308, 1e-305, 9.9e-301, 1e-300):
+        assert law.value(x) == pytest.approx(math.exp(-(x ** -shape)), rel=1e-14, abs=0.0)
+        assert law.tail(x) == pytest.approx(-math.expm1(-(x ** -shape)), rel=1e-14, abs=0.0)
 
 
 def test_remaining_canonical_formulas():
@@ -193,9 +331,16 @@ def test_unbounded_laws_report_infinite_endpoints(law):
         '{"kind":"FreeTypeI","location":NaN}',
         '{"kind":"FreeTypeI","scale":-Infinity}',
         '{"kind":"FreeTypeI","location":null}',
+        '{"kind":"FreeTypeII","shape":true}',
+        '{"kind":"FreeTypeII","shape":"2"}',
+        '{"kind":"FreeTypeI","location":"0"}',
+        '{"kind":"FreeTypeI","scale":false}',
+        '{"kind":"FreeTypeII","shape":1' + "0" * 400 + '}',
     ],
 )
 def test_law_spec_rejects_non_finite_parameters(text):
+    # only a finite JSON number is a parameter: not a boolean, nor a
+    # string that spells one, nor an integer past the largest double
     with pytest.raises(CdfError):
         LawSpec.from_json(text)
 

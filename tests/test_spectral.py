@@ -1,5 +1,8 @@
 import io
 import math
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,12 +196,35 @@ def test_projection_rejects_non_finite_basis(basis):
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_matrix_csv_with_a_non_finite_cell_is_refused(tmp_path, cell):
+    _assert_matrix_csv_refused_by_name(tmp_path, f"1.0,0.5\n0.5,{cell}\n")
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank_lines"])
+def test_matrix_csv_without_values_is_refused(tmp_path, text):
+    _assert_matrix_csv_refused_by_name(tmp_path, text)
+
+
+def _assert_matrix_csv_refused_by_name(tmp_path, text):
+    # read as the CDF tables are: no numpy warning, and the message names the file
     from freemax.spectral import read_matrix_csv
 
     path = tmp_path / "matrix.csv"
-    path.write_text(f"1.0,0.5\n0.5,{cell}\n", encoding="utf-8")
-    with pytest.raises(CdfError):
-        read_matrix_csv(str(path))
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CdfError, match=re.escape(str(path))):
+            read_matrix_csv(str(path))
+
+
+def test_a_matrix_csv_reads_quoted_cells(tmp_path):
+    # quoted cells read as csv.reader reads them, as in --law-csv tables
+    from freemax.spectral import read_matrix_csv
+
+    path = tmp_path / "matrix.csv"
+    path.write_text('"1.0","0.5"\r\n"0.5",2\r\n', encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert read_matrix_csv(str(path)).array.tolist() == [[1.0, 0.5], [0.5, 2.0]]
 
 
 def test_apply_needs_one_value_per_eigenvalue():
@@ -1051,7 +1077,7 @@ def test_matrix_csv_round_trip(tmp_path):
     write_eigenvalues_csv(a, eig_path)
     import csv as _csv
 
-    rows = list(_csv.reader(open(eig_path)))
+    rows = list(_csv.reader(Path(eig_path).read_text().splitlines()))
     assert rows[0] == ["index", "lambda"]
     np.testing.assert_allclose([float(r[1]) for r in rows[1:]], a.eigenvalues)
     # the bytes are those of csv.writer over float reprs, also outside the
@@ -1064,8 +1090,8 @@ def test_matrix_csv_round_trip(tmp_path):
         _csv.writer(matrix).writerows([repr(float(v)) for v in row] for row in m.array)
         _csv.writer(eigs).writerows([["index", "lambda"]] + [
             [i, repr(float(lam))] for i, lam in enumerate(m.eigenvalues)])
-        assert open(path, "rb").read() == matrix.getvalue().encode()
-        assert open(eig_path, "rb").read() == eigs.getvalue().encode()
+        assert Path(path).read_bytes() == matrix.getvalue().encode()
+        assert Path(eig_path).read_bytes() == eigs.getvalue().encode()
 
 
 def test_logexp_esd_converges_to_free_conv():
