@@ -26,6 +26,8 @@ from .cdf import (
     Cdf,
     CdfError,
     _monotone_inf,
+    _order,
+    _real,
     _windows_about,
     comparison_grid,
     exceedance_cdf,
@@ -62,8 +64,7 @@ class NormingConstants:
     recipe: str = "custom"
 
     def __post_init__(self):
-        if not self.a_n > 0:
-            raise CdfError("norming scale a_n must be positive")
+        _real(self.a_n, "norming scale a_n")
 
 
 class ConvergenceRow(NamedTuple):
@@ -150,9 +151,7 @@ def _finite_threshold(f: Cdf, n: int) -> float:
 def norming_constants(f: Cdf, n: int, kind: LawKind) -> NormingConstants:
     """Norming pair for the free type ``kind``: (g(u_n), u_n) for Type I,
     (u_n, 0) for Type II, (omega - u_n, omega) for Type III."""
-    n = int(n)
-    if n < 2:
-        raise CdfError("norming constants need n >= 2")
+    n = _order(n, "norming order n", 2)
     kind = LawKind(kind)
     if kind is LawKind.FREE_TYPE_I:
         u_n = _finite_threshold(f, n)
@@ -217,8 +216,7 @@ def rv_check(
     below the support width omega - alpha, through ``tail_gap`` so that
     omega - x h never cancels.
     """
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise CdfError("regular variation exponent must be positive and finite")
+    alpha = _real(alpha, "regular variation exponent")
     if not all(x > 0 and math.isfinite(x) for x in x_list):
         raise CdfError("regular variation test points must be positive and finite")
     if mode == "at_infinity":

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -60,6 +62,37 @@ GRID_TAIL = 1e-4
 
 class CdfError(ValueError):
     """Raised for malformed distribution-function input."""
+
+
+def _is_number(value) -> bool:
+    """A real number of any type, numpy's too; a boolean, a string or None
+    is not.  The exact types go first: the ABC check costs about 1 us."""
+    return type(value) in (float, int) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+def _real(value, what: str, low: float = 0.0, closed: bool = False) -> float:
+    """A real parameter as a float: a finite number above ``low``, or at
+    least ``low`` when ``closed``; anything else, None too, is a
+    ``CdfError`` that names ``what``.  Law shapes, rates and masses, power
+    and approximation orders, and JSON law parameters are read here."""
+    if not _is_number(value):
+        raise CdfError(f"{what} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # exact for an integer of any size
+        raise CdfError(f"{what} must be finite, got {value!r}")
+    x = float(value)
+    if not (x >= low if closed else x > low):
+        raise CdfError(f"{what} must be {'>=' if closed else '>'} {low:g}, got {value!r}")
+    return x
+
+
+def _order(value, what: str, least: int) -> int:
+    """An integer order, size or count as an int: an integral number, finite
+    and at least ``least``; anything else is a ``CdfError`` naming ``what``."""
+    if not (_is_number(value) and abs(value) <= sys.float_info.max
+            and value == math.floor(value) and value >= least):
+        raise CdfError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 #: halving steps ``_monotone_inf`` decides with one predicate call
@@ -572,10 +605,8 @@ class FreeMaxPowerCdf(Cdf):
 
     def __init__(self, parent: Cdf, s: float):
         super().__init__()
-        if not s >= 1.0:
-            raise CdfError("free max power requires s >= 1")
         self.parent = parent
-        self.s = float(s)
+        self.s = _real(s, "free max power order s", 1.0, closed=True)
         self._omega_cache = parent.omega
 
     def _solve_alpha(self):
@@ -750,15 +781,12 @@ def classical_max_conv(f: Cdf, g: Cdf) -> Cdf:
 
 def free_max_iterate(f: Cdf, n: int) -> Cdf:
     """n-fold free max iterate with value max(0, n F - (n - 1))."""
-    n = int(n)
-    if n < 1:
-        raise CdfError("iterate order must be >= 1")
-    return FreeMaxPowerCdf(f, float(n))
+    return FreeMaxPowerCdf(f, _order(n, "iterate order n", 1))
 
 
 def free_max_power(f: Cdf, s: float) -> Cdf:
     """Real-order free max power; agrees with the iterate at integer s."""
-    return FreeMaxPowerCdf(f, float(s))
+    return FreeMaxPowerCdf(f, s)
 
 
 def rescale(f: Cdf, a: float, b: float) -> Cdf:
@@ -792,18 +820,12 @@ def tail_quantile(f: Cdf, q: float) -> float:
 
 def threshold_un(f: Cdf, n: int) -> float:
     """u_n = inf{t : Fbar(t) < 1/n}; F(u_n) = 1 - 1/n for continuous laws."""
-    n = int(n)
-    if n < 1:
-        raise CdfError("threshold order must be >= 1")
-    return tail_quantile(f, 1.0 / n)
+    return tail_quantile(f, 1.0 / _order(n, "threshold order n", 1))
 
 
 def lower_endpoint_iterate(f: Cdf, n: int) -> float:
     """Lower support endpoint of the n-fold iterate; finite for n >= 2."""
-    n = int(n)
-    if n < 2:
-        raise CdfError("iterate endpoint is defined for n >= 2")
-    return tail_quantile(f, 1.0 / n)
+    return tail_quantile(f, 1.0 / _order(n, "iterate endpoint order n", 2))
 
 
 def exceedance_cdf(f: Cdf, u: float) -> Cdf:
@@ -867,6 +889,7 @@ def comparison_grid(*cdfs: Cdf, n: int = 2001) -> np.ndarray:
     """Shared evaluation grid spanning tail quantiles and finite supports."""
     if not cdfs:
         raise CdfError("comparison_grid needs at least one CDF")
+    n = _order(n, "grid size n", 2)
     lo = min(f.alpha if math.isfinite(f.alpha) else f.quantile(GRID_TAIL) for f in cdfs)
     hi = max(f.omega if math.isfinite(f.omega) else f.quantile(1.0 - GRID_TAIL) for f in cdfs)
     if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -96,7 +96,7 @@ def _read_input(read, path: str):
         return read(path)
     except OSError as exc:
         message = exc.strerror or str(exc)
-    except (ValueError, KeyError, TypeError) as exc:  # CdfError is a ValueError
+    except ValueError as exc:  # CdfError is one
         message = str(exc)
     prefix = f"{path}: "
     raise CliError(EXIT_INPUT, message if message.startswith(prefix) else prefix + message)
@@ -310,7 +310,7 @@ def _seeded_pair(n: int, seed: int, trial: int, stream: int, spectrum=lambda u: 
     of n uniform draws each, sorted."""
     rng = rng_from_seed(seed, trial, stream)
     spectra = [np.sort(spectrum(rng.random(n))) for _ in range(2)]
-    return [HermitianMatrix._from_householder(values, haar_orthogonal(n, seed, trial, side))
+    return [HermitianMatrix._assemble(values, haar_orthogonal(n, seed, trial, side))
             for side, values in enumerate(spectra)]
 
 

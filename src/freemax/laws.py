@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -28,6 +27,8 @@ from .cdf import (
     CdfError,
     FunctionCdf,
     _monotone_inf,
+    _order,
+    _real,
     _windows_about,
     comparison_grid,
     free_max_iterate,
@@ -75,24 +76,6 @@ class LawKind(str, Enum):
     TRIANGULAR_PROCESS = "TriangularProcess"
 
 
-_NEEDS_POSITIVE_SHAPE = {
-    LawKind.FREE_TYPE_II,
-    LawKind.FREE_TYPE_III,
-    LawKind.CLASSICAL_FRECHET,
-    LawKind.CLASSICAL_WEIBULL,
-}
-
-
-def _finite_float(value, name: str) -> float:
-    """A law parameter from JSON as a finite float, else ``CdfError``: a
-    JSON number, not a boolean or a string that spells one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CdfError(f"law {name} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # exact for an integer of any size
-        raise CdfError(f"law {name} must be finite, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class LawSpec:
     """Parametric law descriptor; serializes as {kind, shape, location, scale}."""
@@ -124,12 +107,13 @@ class LawSpec:
             kind = LawKind(raw["kind"])
         except ValueError as exc:
             raise CdfError(f"unknown law kind {raw['kind']!r}") from exc
+        # a JSON number, not a boolean or a string that spells one
         shape = raw.get("shape")
         return cls(
             kind=kind,
-            shape=None if shape is None else _finite_float(shape, "shape"),
-            location=_finite_float(raw.get("location", 0.0), "location"),
-            scale=_finite_float(raw.get("scale", 1.0), "scale"),
+            shape=None if shape is None else _real(shape, "law shape", -math.inf),
+            location=_real(raw.get("location", 0.0), "law location", -math.inf),
+            scale=_real(raw.get("scale", 1.0), "law scale", -math.inf),
         )
 
 
@@ -182,9 +166,7 @@ class ParetoCdf(Cdf):
 
     def __init__(self, alpha: float):
         super().__init__()
-        if not alpha > 0:
-            raise CdfError("Pareto shape must be positive")
-        self.shape = float(alpha)
+        self.shape = _real(alpha, "Pareto shape")
         self._alpha_cache = 1.0
         self._omega_cache = math.inf
 
@@ -210,9 +192,7 @@ class BetaPowerCdf(Cdf):
 
     def __init__(self, alpha: float):
         super().__init__()
-        if not alpha > 0:
-            raise CdfError("Beta-power shape must be positive")
-        self.shape = float(alpha)
+        self.shape = _real(alpha, "Beta-power shape")
         self._alpha_cache = -1.0
         self._omega_cache = 0.0
 
@@ -238,7 +218,7 @@ class GpdCdf(Cdf):
 
     def __init__(self, gamma: float):
         super().__init__()
-        self.gamma = float(gamma)
+        self.gamma = _real(gamma, "GPD shape", -math.inf)
         self._alpha_cache = 0.0
         self._omega_cache = math.inf if self.gamma >= 0 else 1.0 / abs(self.gamma)
 
@@ -246,8 +226,9 @@ class GpdCdf(Cdf):
         g = self.gamma
         if g == 0.0:
             return -x
+        # arg is 0 at and past the endpoint, where the log tail is -inf; NaN stays NaN
         arg = np.maximum(1.0 + g * x, 0.0)
-        return np.where(arg > 0.0, -np.log(arg) / g, -math.inf)
+        return np.where(arg == 0.0, -math.inf, -np.log(arg) / g)
 
     def _tail(self, x):
         return np.where(x <= 0.0, 1.0, np.exp(self._log_tail(x)))
@@ -308,9 +289,7 @@ class GumbelCdf(Cdf):
 class FrechetCdf(Cdf):
     def __init__(self, alpha: float):
         super().__init__()
-        if not alpha > 0:
-            raise CdfError("Frechet shape must be positive")
-        self.shape = float(alpha)
+        self.shape = _real(alpha, "Frechet shape")
         self._alpha_cache = 0.0
         self._omega_cache = math.inf
 
@@ -329,9 +308,7 @@ class WeibullCdf(Cdf):
 
     def __init__(self, alpha: float):
         super().__init__()
-        if not alpha > 0:
-            raise CdfError("Weibull shape must be positive")
-        self.shape = float(alpha)
+        self.shape = _real(alpha, "Weibull shape")
         self._alpha_cache = -math.inf
         self._omega_cache = 0.0
 
@@ -404,8 +381,7 @@ def log_perturbed_pareto(alpha: float = 2.0) -> Cdf:
     The logarithm is a slowly varying perturbation, so the tail is still
     -alpha-regularly varying but the law is not an exact fixed point.
     """
-    if not alpha > 0:
-        raise CdfError("shape must be positive")
+    alpha = _real(alpha, "log-perturbed Pareto shape")
 
     def tail_fn(x):
         return np.where(x <= 1.0, 1.0, x ** (-alpha) / (1.0 + np.log(x)))
@@ -432,21 +408,16 @@ _CANONICAL = {
 
 def make_law(spec: LawSpec) -> Cdf:
     """Build the CDF described by a LawSpec (canonical law, then affine)."""
+    scale = _real(spec.scale, "law scale")
     kind = LawKind(spec.kind)
-    shape = spec.shape
-    if kind in _NEEDS_POSITIVE_SHAPE:
-        if shape is None or not shape > 0:
-            raise CdfError(f"{kind.value} requires a positive shape")
-    if kind is LawKind.GENERALIZED_PARETO:
-        if shape is None:
-            raise CdfError("GeneralizedPareto requires a shape (gamma)")
-    if not spec.scale > 0:
-        raise CdfError("scale must be positive")
-    law = _CANONICAL[kind](shape)
-    if spec.location == 0.0 and spec.scale == 1.0:
+    try:
+        law = _CANONICAL[kind](spec.shape)  # the constructor checks the shape
+    except CdfError as err:
+        raise CdfError(f"{kind.value}: {err}") from err
+    if spec.location == 0.0 and scale == 1.0:
         return law
     # F((x - location)/scale) as an inner affine map
-    return rescale(law, 1.0 / spec.scale, -spec.location / spec.scale)
+    return rescale(law, 1.0 / scale, -spec.location / scale)
 
 
 # ----------------------------------------------------------------------
@@ -457,10 +428,8 @@ class FcCdf(Cdf):
 
     def __init__(self, parent: Cdf, c: float):
         super().__init__()
-        if not c > 0:
-            raise CdfError("f_c requires c > 0")
         self.parent = parent
-        self.c = float(c)
+        self.c = _real(c, "f_c parameter c")
         self._omega_cache = parent.omega
 
     def _solve_alpha(self):
@@ -518,20 +487,13 @@ class StabilityConstants:
 
 def stability_constants(kind: LawKind, alpha: Optional[float], s: float) -> StabilityConstants:
     """Constants with power(G, s) composed with rescale(., a, b) equal to G."""
-    if not s >= 1.0:
-        raise CdfError("stability constants require s >= 1")
+    s = _real(s, "stability order s", 1.0, closed=True)
     kind = LawKind(kind)
     if kind is LawKind.FREE_TYPE_I:
         return StabilityConstants(s, 1.0, math.log(s), 0.0, 1.0)
-    if kind is LawKind.FREE_TYPE_II:
-        if alpha is None or not alpha > 0:
-            raise CdfError("Type II needs a positive shape")
-        theta = 1.0 / alpha
-        return StabilityConstants(s, s**theta, 0.0, theta, 0.0)
-    if kind is LawKind.FREE_TYPE_III:
-        if alpha is None or not alpha > 0:
-            raise CdfError("Type III needs a positive shape")
-        theta = -1.0 / alpha
+    if kind in (LawKind.FREE_TYPE_II, LawKind.FREE_TYPE_III):
+        sign = 1.0 if kind is LawKind.FREE_TYPE_II else -1.0
+        theta = sign / _real(alpha, f"{kind.value} shape")
         return StabilityConstants(s, s**theta, 0.0, theta, 0.0)
     raise CdfError(f"{kind.value} is not a free extreme-value type")
 
@@ -552,9 +514,7 @@ def verify_max_stable(g: Cdf, k: int, tol: float = 1e-9) -> StabilityCheck:
     unbounded below is rejected immediately (stable laws cannot have one),
     but the fitted distance is still reported for diagnostics.
     """
-    k = int(k)
-    if k < 2:
-        raise CdfError("stability check needs k >= 2")
+    k = _order(k, "stability order k", 2)
     x1, x3 = g.quantile(0.25), g.quantile(0.75)
     if x1 >= x3:
         raise CdfError("degenerate law: max-stability is vacuous for a point mass")

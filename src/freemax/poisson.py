@@ -18,7 +18,7 @@ from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .cdf import Cdf, CdfError, FunctionCdf, ks_distance
+from .cdf import Cdf, CdfError, FunctionCdf, _order, _real, ks_distance
 from .spectral import (
     HermitianMatrix,
     Projection,
@@ -62,8 +62,7 @@ class Partition:
             if atom_id in seen:
                 raise CdfError(f"duplicate atom id {atom_id!r}")
             seen.add(atom_id)
-            if not 0.0 <= mass < math.inf:
-                raise CdfError(f"atom {atom_id!r} needs a finite nonnegative mass, got {mass!r}")
+            _real(mass, f"atom {atom_id!r} mass", 0.0, closed=True)
         if self.total_mass > MAX_TOTAL_MASS:
             raise CdfError(f"total mass {self.total_mass} exceeds MAX_TOTAL_MASS = {MAX_TOTAL_MASS}")
 
@@ -73,14 +72,22 @@ class Partition:
 
     @classmethod
     def from_json(cls, text: str) -> "Partition":
+        """An object whose ``atoms`` array holds objects with a string
+        ``id`` and a JSON-number ``mass``; every other layout is a
+        ``CdfError`` that names the atom and the field."""
         raw = json.loads(text)
-        if not isinstance(raw, dict) or "atoms" not in raw:
+        atoms = raw.get("atoms") if isinstance(raw, dict) else None
+        if not isinstance(atoms, list):
             raise CdfError("partition JSON must be an object with an 'atoms' array")
-        pairs = [(a["id"], a["mass"]) for a in raw["atoms"]]
-        for atom_id, mass in pairs:
-            if isinstance(mass, bool) or not isinstance(mass, (int, float)):
-                raise CdfError(f"atom {atom_id!r} needs a numeric mass, got {mass!r}")
-        return cls.from_pairs(pairs)
+        pairs = []
+        for index, atom in enumerate(atoms):
+            if not isinstance(atom, dict):
+                raise CdfError(f"atom {index} must be an object with 'id' and 'mass', got {atom!r}")
+            atom_id, mass = atom.get("id"), atom.get("mass")
+            if not isinstance(atom_id, str):
+                raise CdfError(f"atom {index} needs a string 'id', got {atom_id!r}")
+            pairs.append((atom_id, _real(mass, f"atom {atom_id!r} mass", 0.0, closed=True)))
+        return cls(tuple(pairs))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -128,8 +135,6 @@ def _atom_block(index: int, count: int, n: int, seed: int) -> np.ndarray:
 
 def _subset_blocks(partition: Partition, subset: Iterable[str], n: int, seed: int) -> dict:
     """The subset's atom blocks by atom id, in partition order; atoms without columns own none."""
-    if n < 8:
-        raise CdfError("free Poisson sampling needs N >= 8")
     chosen = partition._validate(subset)
     counts = partition.column_counts(n)
     return {
@@ -149,6 +154,7 @@ def sample_free_poisson_matrix(
     process is additive over them (bitwise so whenever the accumulation
     trees coincide, e.g. singleton unions; always so up to roundoff).
     """
+    n = _order(n, "free Poisson dimension N", 8)
     total = np.zeros((n, n))
     for block in _subset_blocks(partition, subset, n, seed).values():
         total += block @ block.T
@@ -185,9 +191,7 @@ class MpCdf(Cdf):
 
     def __init__(self, a_param: float):
         super().__init__()
-        if not a_param > 0:
-            raise CdfError("free Poisson rate must be positive")
-        self.rate = float(a_param)
+        self.rate = _real(a_param, "free Poisson rate")
         root = math.sqrt(self.rate)
         self.lam_minus = (1.0 - root) ** 2
         self.lam_plus = (1.0 + root) ** 2
@@ -248,9 +252,7 @@ class TriangularCdf(Cdf):
 
     def __init__(self, m: float):
         super().__init__()
-        if not m > 0:
-            raise CdfError("triangular law mass must be positive")
-        self.m = float(m)
+        self.m = _real(m, "triangular law mass")
         self._alpha_cache = max(0.0, 1.0 - 1.0 / self.m)
         self._omega_cache = 1.0
 
@@ -287,8 +289,7 @@ def realize_triangular_process(
 ) -> Dict[str, HermitianMatrix]:
     """One matrix per atom: quantile-diagonal spectrum of its triangular
     law under an independent Haar rotation (freeness surrogate)."""
-    if n < 8:
-        raise CdfError("triangular process realization needs N >= 8")
+    n = _order(n, "triangular process dimension N", 8)
     out = {}
     probs = (np.arange(n) + 0.5) / n
     for index, (atom_id, mass) in enumerate(partition.atoms):
@@ -298,7 +299,7 @@ def realize_triangular_process(
         law = TriangularCdf(mass)
         spectrum = np.asarray(law.quantile(probs), dtype=float)
         u = haar_orthogonal(n, seed, index)
-        out[atom_id] = HermitianMatrix._from_householder(spectrum, u)
+        out[atom_id] = HermitianMatrix._assemble(spectrum, u)
     return out
 
 
@@ -400,9 +401,9 @@ def extremal_process_report(
     Q of its block, all min(N, columns) columns: orthonormal by construction,
     and a Gaussian block has full rank with probability 1.
     """
-    if trials < 1:
-        raise CdfError("at least one trial required")
-    seed = int(seed)
+    n = _order(n, "free Poisson dimension N", 8)
+    trials = _order(trials, "trial count", 1)
+    seed = _order(seed, "seed", 0)
     canonical = [tuple(i for i in partition.ids if i in partition._validate(s)) for s in subsets]
     named = {atom for subset in canonical for atom in subset}
     in_joins = {atom for subset in canonical if len(subset) > 1 for atom in subset}

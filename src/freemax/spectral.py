@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cdf import _CSV, CdfError, SteppedCdf, _float_reprs, _loadtxt
+from .cdf import _CSV, CdfError, SteppedCdf, _float_reprs, _loadtxt, _order, _real
 
 __all__ = [
     "HermitianMatrix",
@@ -147,31 +147,24 @@ class HermitianMatrix:
         read.
         """
         vecs = np.asarray(eigenvectors)
-        obj = cls._from_householder(eigenvalues, vecs)
+        obj = cls._assemble(eigenvalues, vecs)
         _check_orthonormal(vecs, 1e-8, "eigenvector columns")
         return obj
 
     @classmethod
-    def _from_householder(cls, eigenvalues, vecs: np.ndarray) -> "HermitianMatrix":
-        """``from_spectrum`` without the orthonormality check, for a
-        Householder Q the library has just formed (times unit phases): it
-        is orthonormal to O(N eps) by construction (Higham, Accuracy and
-        Stability of Numerical Algorithms, ch. 19), far inside 1e-8."""
-        obj = cls._assemble(eigenvalues, vecs)
-        _require_finite(obj.eigenvalues)
-        return obj
-
-    @classmethod
     def _assemble(cls, eigenvalues, vecs) -> "HermitianMatrix":
-        """Spectral data taken as given, with no finiteness or Gram check:
-        for vectors that already belong to a ``HermitianMatrix`` or that a
-        Householder QR formed.  ``vecs`` is an array or a zero-argument
-        function returning one, called on the first read of
-        ``eigenvectors``."""
+        """``from_spectrum`` without the Gram check, for vectors that
+        already belong to a ``HermitianMatrix`` or a Householder Q the
+        library has just formed (times unit phases): it is orthonormal to
+        O(N eps) by construction (Higham, Accuracy and Stability of
+        Numerical Algorithms, ch. 19), far inside 1e-8.  The eigenvalues
+        must be finite.  ``vecs`` is an array or a zero-argument function
+        returning one, called on the first read of ``eigenvectors``."""
         eigenvalues = np.asarray(eigenvalues, dtype=float).ravel()
         n = eigenvalues.size
         if not callable(vecs) and (not n or vecs.shape != (n, n)):
             raise CdfError("spectral data must be a full n x n eigensystem")
+        _require_finite(eigenvalues)
         order = np.argsort(eigenvalues, kind="stable")
         obj = cls.__new__(cls)
         obj.eigenvalues = eigenvalues[order]
@@ -534,8 +527,7 @@ def pnorm_approx(a: HermitianMatrix, b: HermitianMatrix, p: float) -> HermitianM
     underflows gracefully instead of overflowing.
     """
     _check_same_dim(a, b)
-    if not p >= 1.0:
-        raise CdfError("pnorm approximation needs p >= 1")
+    p = _real(p, "pnorm approximation order p", 1.0, closed=True)
     s = _psd_scale(a, b)
     if s <= 0.0:
         return HermitianMatrix(np.zeros((a.n, a.n)))
@@ -571,8 +563,7 @@ def logexp_approx(a: HermitianMatrix, b: HermitianMatrix, p: float) -> Hermitian
     keep p times the spectral diameter under ~36 for full accuracy.
     """
     _check_same_dim(a, b)
-    if not p >= 1.0:
-        raise CdfError("logexp approximation needs p >= 1")
+    p = _real(p, "logexp approximation order p", 1.0, closed=True)
     m = max(float(a.eigenvalues[-1]), float(b.eigenvalues[-1]))
     ea = a.apply(lambda lam: np.exp(p * (lam - m)))
     eb = b.apply(lambda lam: np.exp(p * (lam - m)))
@@ -609,8 +600,9 @@ def haar_projection(n: int, r: int, seed: int, *path: int) -> Projection:
     """Projection onto the span of an orthonormalized N x r Gaussian: its
     reduced Householder Q, orthonormal by construction, so the basis
     takes no Gram check."""
-    if not 0 <= r <= n:
-        raise CdfError("projection rank must satisfy 0 <= r <= N")
+    n, r = _order(n, "dimension N", 1), _order(r, "projection rank r", 0)
+    if r > n:
+        raise CdfError(f"projection rank must satisfy 0 <= r <= N = {n}, got {r}")
     if r == 0:
         return Projection.zero(n)
     rng = rng_from_seed(seed, *path)
@@ -632,7 +624,7 @@ def haar_conjugate(
     # the diagonal test settles any other basis at O(N) cost
     if (np.isrealobj(vecs) and (np.diagonal(vecs) == 1.0).all()
             and np.count_nonzero(vecs) == a.n):
-        return HermitianMatrix._from_householder(a.eigenvalues, u)
+        return HermitianMatrix._assemble(a.eigenvalues, u)
     return HermitianMatrix.from_spectrum(a.eigenvalues, u @ vecs)
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -41,6 +42,7 @@ from freemax.cdf import (
 )
 from freemax.laws import (
     BetaPowerCdf,
+    FrechetCdf,
     GpdCdf,
     GumbelCdf,
     LawKind,
@@ -48,12 +50,26 @@ from freemax.laws import (
     ParetoCdf,
     StdNormalCdf,
     UniformCdf,
+    WeibullCdf,
     f_c_map,
     law_catalog,
+    log_perturbed_pareto,
     make_law,
+    stability_constants,
     standard_cauchy,
+    verify_max_stable,
 )
-from freemax.poisson import TriangularCdf, mp_cdf, triangular_law_cdf
+from freemax.poisson import (
+    MpCdf,
+    Partition,
+    TriangularCdf,
+    extremal_process_report,
+    mp_cdf,
+    realize_triangular_process,
+    sample_free_poisson_matrix,
+    triangular_law_cdf,
+)
+from freemax.spectral import HermitianMatrix, haar_projection, pnorm_approx
 
 UNIT_GRID = np.linspace(-0.5, 1.5, 801)
 
@@ -1567,3 +1583,84 @@ HOOK_CASES = {
 def test_hook_matches_its_defining_formula(case):
     got, expected, tol = HOOK_CASES[case]()
     assert np.max(np.abs(np.asarray(got) - np.asarray(expected))) <= tol
+
+
+def _inverse_of_a_singular_matrix():
+    with np.errstate(divide="ignore"):
+        return HermitianMatrix(np.diag([0.0, 1.0])).apply(lambda lam: 1 / lam)
+
+
+def _partition(atoms: str) -> Partition:
+    return Partition.from_json('{"atoms": %s}' % atoms)
+
+
+_ZERO = HermitianMatrix(np.zeros((2, 2)))
+_ONE_ATOM = Partition.from_pairs([("a", 0.5)])
+
+#: inputs outside a library rule, each with a fragment of its CdfError:
+#: law parameters are finite (and positive, or >= 1), orders are integers,
+#: private spectral data is finite and partition JSON spells its fields
+BOUNDARY_CASES = {
+    "pareto_inf": (lambda: ParetoCdf(math.inf), "Pareto shape must be finite"),
+    "beta_power_inf": (lambda: BetaPowerCdf(math.inf), "must be finite"),
+    "gpd_nan": (lambda: GpdCdf(math.nan), "GPD shape must be finite"),
+    "gpd_inf": (lambda: GpdCdf(math.inf), "GPD shape must be finite"),
+    "gpd_none": (lambda: GpdCdf(None), "GPD shape must be a number"),
+    "frechet_inf": (lambda: FrechetCdf(math.inf), "must be finite"),
+    "weibull_inf": (lambda: WeibullCdf(math.inf), "must be finite"),
+    "mp_inf": (lambda: MpCdf(math.inf), "free Poisson rate must be finite"),
+    "triangular_inf": (lambda: TriangularCdf(math.inf), "mass must be finite"),
+    "log_perturbed_inf": (lambda: log_perturbed_pareto(math.inf), "must be finite"),
+    "f_c_inf": (lambda: f_c_map(ParetoCdf(2.0), math.inf), "c must be finite"),
+    "power_inf": (lambda: free_max_power(ParetoCdf(2.0), math.inf), "s must be finite"),
+    "stability_s_inf": (lambda: stability_constants(LawKind.FREE_TYPE_II, 2, math.inf),
+                        "s must be finite"),
+    "pnorm_p_inf": (lambda: pnorm_approx(_ZERO, _ZERO, math.inf), "p must be finite"),
+    "iterate_2.5": (lambda: free_max_iterate(ParetoCdf(2.0), 2.5), "integer >= 1, got 2.5"),
+    "threshold_2.7": (lambda: threshold_un(ParetoCdf(2.0), 2.7), "integer >= 1, got 2.7"),
+    "threshold_nan": (lambda: threshold_un(ParetoCdf(2.0), math.nan), "integer >= 1, got nan"),
+    "threshold_inf": (lambda: threshold_un(ParetoCdf(2.0), math.inf), "integer >= 1, got inf"),
+    "endpoint_2.5": (lambda: lower_endpoint_iterate(UniformCdf(), 2.5), "integer >= 2"),
+    "norming_2.5": (lambda: norming_constants(GpdCdf(0.0), 2.5, LawKind.FREE_TYPE_I),
+                    "integer >= 2, got 2.5"),
+    "stable_2.5": (lambda: verify_max_stable(GpdCdf(0.0), 2.5), "integer >= 2, got 2.5"),
+    "grid_0": (lambda: comparison_grid(UniformCdf(), n=0), "grid size n must be an integer"),
+    "haar_rank_2.5": (lambda: haar_projection(8, 2.5, 1), "rank r must be an integer"),
+    "triangular_n_8.5": (lambda: realize_triangular_process(_ONE_ATOM, 8.5, 1),
+                         "integer >= 8, got 8.5"),
+    "trials_1.5": (lambda: extremal_process_report(_ONE_ATOM, [["a"]], 16, 1.5, 1),
+                   "trial count must be an integer >= 1, got 1.5"),
+    "sample_n_8.5": (lambda: sample_free_poisson_matrix(_ONE_ATOM, ["a"], 8.5, 1),
+                     "dimension N must be an integer >= 8, got 8.5"),
+    "report_n_8.5": (lambda: extremal_process_report(_ONE_ATOM, [["a"]], 8.5, 1, 1),
+                     "dimension N must be an integer >= 8, got 8.5"),
+    "apply_inf": (_inverse_of_a_singular_matrix, "eigenvalues must be finite"),
+    "atoms_object": (lambda: _partition('{"a": 0.5}'), "'atoms' array"),
+    "atom_string": (lambda: _partition('["a"]'), "atom 0 must be an object"),
+    "atom_number": (lambda: _partition('[{"id": "a", "mass": 0.5}, 1]'),
+                    "atom 1 must be an object"),
+    "atom_without_id": (lambda: _partition('[{"mass": 0.5}]'), "atom 0 needs a string 'id'"),
+    "atom_list_id": (lambda: _partition('[{"id": ["x"], "mass": 0.5}]'),
+                     "atom 0 needs a string 'id', got ['x']"),
+    "atom_number_id": (lambda: _partition('[{"id": 1, "mass": 0.5}]'),
+                       "atom 0 needs a string 'id'"),
+    "atom_without_mass": (lambda: _partition('[{"id": "a"}]'), "atom 'a' mass must be a number"),
+    "atom_huge_mass": (lambda: _partition('[{"id": "a", "mass": 1%s}]' % ("0" * 400)),
+                       "atom 'a' mass must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUNDARY_CASES))
+def test_every_input_rule_refuses_with_a_cdf_error(case):
+    probe, message = BOUNDARY_CASES[case]
+    with pytest.raises(CdfError, match=re.escape(message)):
+        probe()
+
+
+def test_an_integral_float_dimension_is_that_integer():
+    # an order such as 8.0 passes the rule as the int 8, in every caller that sizes by it
+    sampled = sample_free_poisson_matrix(_ONE_ATOM, ["a"], 8.0, 3)
+    expected = sample_free_poisson_matrix(_ONE_ATOM, ["a"], 8, 3)
+    assert sampled.array.tobytes() == expected.array.tobytes()
+    record = extremal_process_report(_ONE_ATOM, [["a"]], 8.0, 1, 3).records[0]
+    assert type(record.n_dim) is int and record.n_dim == 8

@@ -560,6 +560,11 @@ def test_invalid_law_error(capsys):
         capsys, ["law", "--law", '{"kind":"FreeTypeII","shape":-2}']
     )
     assert code == EXIT_LAW
+    # the refusal names the kind the user wrote
+    assert err["error"]["message"].startswith("FreeTypeII: ")
+    code, err = run_error(capsys, ["law", "--law", '{"kind":"FreeTypeIII"}'])
+    assert code == EXIT_LAW
+    assert err["error"]["message"].startswith("FreeTypeIII: ")
 
 
 @pytest.mark.parametrize("field", ['"shape":true', '"shape":"2"', '"scale":false'])

@@ -62,7 +62,7 @@ def test_partition_rejects_non_finite_masses(bad):
 @pytest.mark.parametrize("mass", [True, False, "0.5", None, [0.5]])
 def test_partition_json_masses_are_json_numbers(mass):
     # from_pairs stays lenient for library callers; JSON must spell a number
-    with pytest.raises(CdfError, match="numeric mass"):
+    with pytest.raises(CdfError, match="atom 'a' mass must be a number"):
         Partition.from_json(json.dumps({"atoms": [{"id": "a", "mass": mass}]}))
     assert Partition.from_json('{"atoms": [{"id": "a", "mass": 1}]}').atoms == (("a", 1.0),)
     assert Partition.from_pairs([("a", "0.5")]).atoms == (("a", 0.5),)

@@ -106,12 +106,15 @@ def test_haar_conjugate_checks_eigenvectors_that_are_not_the_identity():
 
 
 def test_library_bases_still_refuse_non_finite_eigenvalues():
-    spiked = HermitianMatrix(np.diag([0.0, 1.0, 2.0])).apply(
-        lambda lam: np.where(lam > 0.0, lam, math.inf))
+    # every private construction checks finiteness: the functional
+    # calculus, shifts and the Householder bases alike
+    a = HermitianMatrix(np.diag([0.0, 1.0, 2.0]))
     with pytest.raises(CdfError, match="finite"):
-        haar_conjugate(spiked, 5)
+        a.apply(lambda lam: np.where(lam > 0.0, lam, math.inf))
     with pytest.raises(CdfError, match="finite"):
-        HermitianMatrix._from_householder([0.0, math.inf, 1.0], haar_orthogonal(3, 5))
+        a.shifted(math.inf)
+    with pytest.raises(CdfError, match="finite"):
+        HermitianMatrix._assemble([0.0, math.inf, 1.0], haar_orthogonal(3, 5))
 
 
 def _gram_error(vecs):
