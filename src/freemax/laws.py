@@ -99,7 +99,7 @@ class LawSpec:
     def from_json(cls, text: str) -> "LawSpec":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CdfError(f"invalid law JSON: {exc}") from exc
         if not isinstance(raw, dict) or "kind" not in raw:
             raise CdfError("law JSON must be an object with a 'kind' field")

@@ -75,7 +75,10 @@ class Partition:
         """An object whose ``atoms`` array holds objects with a string
         ``id`` and a JSON-number ``mass``; every other layout is a
         ``CdfError`` that names the atom and the field."""
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except RecursionError as exc:
+            raise CdfError(f"partition JSON nests too deeply: {exc}") from exc
         atoms = raw.get("atoms") if isinstance(raw, dict) else None
         if not isinstance(atoms, list):
             raise CdfError("partition JSON must be an object with an 'atoms' array")

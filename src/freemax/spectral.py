@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .cdf import _CSV, CdfError, SteppedCdf, _float_reprs, _loadtxt, _order, _real
 
@@ -144,28 +145,35 @@ class HermitianMatrix:
         """Assemble from known spectral data (kept exactly, no re-eigh).
 
         The eigenvectors must be orthonormal; ``array`` is built on first
-        read.
+        read.  The matrix keeps copies, so the caller's arrays stay free.
         """
         vecs = np.asarray(eigenvectors)
         obj = cls._assemble(eigenvalues, vecs)
         _check_orthonormal(vecs, 1e-8, "eigenvector columns")
+        if np.may_share_memory(obj.eigenvectors, vecs):  # sorted input, kept as views
+            obj.eigenvalues, obj.eigenvectors = obj.eigenvalues.copy(), vecs.copy()
         return obj
 
     @classmethod
     def _assemble(cls, eigenvalues, vecs) -> "HermitianMatrix":
-        """``from_spectrum`` without the Gram check, for vectors that
-        already belong to a ``HermitianMatrix`` or a Householder Q the
-        library has just formed (times unit phases): it is orthonormal to
-        O(N eps) by construction (Higham, Accuracy and Stability of
-        Numerical Algorithms, ch. 19), far inside 1e-8.  The eigenvalues
-        must be finite.  ``vecs`` is an array or a zero-argument function
-        returning one, called on the first read of ``eigenvectors``."""
+        """``from_spectrum`` without the Gram check or the copies, for
+        vectors that already belong to a ``HermitianMatrix`` or a
+        Householder Q the library has just formed (times unit phases): it
+        is orthonormal to O(N eps) by construction (Higham, Accuracy and
+        Stability of Numerical Algorithms, ch. 19), far inside 1e-8.  The
+        eigenvalues must be finite.  ``vecs`` is an array or a
+        zero-argument function returning one, called on the first read of
+        ``eigenvectors``.  Eigenvalues out of order are sorted, and the
+        vectors permuted with them; sorted ones (whose stable argsort is
+        the identity) keep theirs, as views."""
         eigenvalues = np.asarray(eigenvalues, dtype=float).ravel()
         n = eigenvalues.size
         if not callable(vecs) and (not n or vecs.shape != (n, n)):
             raise CdfError("spectral data must be a full n x n eigensystem")
         _require_finite(eigenvalues)
-        order = np.argsort(eigenvalues, kind="stable")
+        # sorted values need no gather: the basic slice takes views
+        order = (np.argsort(eigenvalues, kind="stable")
+                 if (eigenvalues[1:] < eigenvalues[:-1]).any() else slice(None))
         obj = cls.__new__(cls)
         obj.eigenvalues = eigenvalues[order]
         if callable(vecs):
@@ -405,15 +413,49 @@ def _batch_starts(values: np.ndarray, tol: float) -> np.ndarray:
     return np.sort(np.concatenate([heads, np.array(inner, dtype=int)]))
 
 
-def _qr_columns(block: np.ndarray, k: int) -> np.ndarray:
-    """Fortran-order N x N buffer whose first k columns are those of the
-    block's Householder Q times the unit phases of R's diagonal: the
-    normalized residuals of the block's first k columns."""
-    q, r = np.linalg.qr(block)
-    diag = np.diagonal(r)[:k]
-    basis = np.empty(block.shape, dtype=block.dtype, order="F")
-    basis[:, :k] = q[:, :k] * (diag / np.abs(diag))
-    return basis
+def _raise_qr_error(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+# numpy.linalg.qr's own LAPACK gufuncs, geqrf and orgqr, run under qr's
+# floating-point state: LAPACK's invalid flag is qr's LinAlgError, its
+# other flags are quiet.  The gufuncs are private to numpy, hence its
+# floor of 2.4 in pyproject.toml (numpy 1.x named geqrf by shape).
+_GEQRF = _umath_linalg.qr_r_raw
+_ORGQR = _umath_linalg.qr_reduced
+_QR_ERRSTATE = np.errstate(call=_raise_qr_error, invalid="call",
+                           over="ignore", divide="ignore", under="ignore")
+
+
+@_QR_ERRSTATE
+def _householder(a: np.ndarray) -> np.ndarray:
+    """Householder QR of ``a`` in place: R on and above the diagonal, the
+    reflectors below it.  Returns their scalars tau.
+
+    This is the LAPACK geqrf gufunc that ``np.linalg.qr`` runs, on the
+    caller's array instead of a copy, so the bits are its bits.  ``a``
+    must be a writable float64 or complex128 array; casting is refused,
+    since a cast copy would be factored and dropped."""
+    kind = "D" if np.iscomplexobj(a) else "d"
+    return _GEQRF(a, signature=f"{kind}->{kind}", casting="no")
+
+
+@_QR_ERRSTATE
+def _householder_q(a: np.ndarray, tau: np.ndarray, k: int | None = None,
+                   phases: bool = False) -> np.ndarray:
+    """The first k columns (all by default) of the Householder Q of a
+    factorization made by ``_householder``, and with ``phases`` times
+    the unit phases of R's diagonal: then column j is the normalized
+    residual of the input's column j against the columns before it.
+
+    Q is formed by the orgqr gufunc of ``np.linalg.qr`` (all min(m, n)
+    columns, then sliced), so it is that function's Q bit for bit."""
+    kind = "D" if np.iscomplexobj(a) else "d"
+    q = _ORGQR(a, tau, signature=f"{kind}{kind}->{kind}", casting="no")[:, :k]
+    if phases:
+        diag = np.diagonal(a)[:k]
+        q *= diag / np.abs(diag)
+    return q
 
 
 def spectral_max(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
@@ -435,13 +477,14 @@ def spectral_max(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     most RANK_RTOL (a tie or a shared direction) the sweep goes on column
     by column with two rounds of classical Gram-Schmidt.
 
-    Acceptance reads R's diagonal alone, from the raw factorization.  In
-    general position the output's eigenvectors are formed on their first
-    read, as the Householder Q of a second factorization times unit
-    phases; being orthonormal by construction they take no Gram check.
-    An eigenvalue-only caller pays one factorization and no Q.  On the
-    sweep path the vectors are formed at once and checked to 1e-8, since
-    the sweep builds its columns one by one.
+    The block is factored once, in place, and acceptance reads R's
+    diagonal from it.  In general position the output's eigenvectors are
+    formed on their first read, as the Householder Q of that kept
+    factorization times unit phases; being orthonormal by construction
+    they take no Gram check.  An eigenvalue-only caller pays one
+    factorization and no Q.  On the sweep path the accepted columns' Q
+    comes from the same factorization; the vectors are formed at once
+    and checked to 1e-8, since the sweep builds its columns one by one.
     """
     _check_same_dim(a, b)
     n = a.n
@@ -453,15 +496,18 @@ def spectral_max(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     levels = np.repeat(lam[starts], np.diff(np.append(starts, lam.size)))
     top = order[:n]
     from_a = top < n
-    block = np.empty((n, n), dtype=np.result_type(a.eigenvectors, b.eigenvectors), order="F")
+    dtype = np.result_type(a.eigenvectors, b.eigenvectors, np.float64)
+    block = np.empty((n, n), dtype=dtype, order="F")
     block[:, from_a] = a.eigenvectors[:, top[from_a]]
     block[:, ~from_a] = b.eigenvectors[:, top[~from_a] - n]
-    h, _ = np.linalg.qr(block, mode="raw")
-    failed = np.flatnonzero(np.abs(np.diagonal(h)) <= RANK_RTOL)
+    tau = _householder(block)
+    failed = np.flatnonzero(np.abs(np.diagonal(block)) <= RANK_RTOL)
     if not failed.size:
-        return HermitianMatrix._assemble(levels[:n], lambda: _qr_columns(block, n))
+        return HermitianMatrix._assemble(
+            levels[:n], lambda: _householder_q(block, tau, phases=True))
     k = int(failed[0])
-    basis = _qr_columns(block, k)
+    basis = np.empty((n, n), dtype=dtype, order="F")
+    basis[:, :k] = _householder_q(block, tau, k, phases=True)
     vecs = np.hstack([a.eigenvectors, b.eigenvectors])[:, order]
     out_vals = np.empty(n)
     out_vals[:k] = levels[:k]
@@ -481,7 +527,8 @@ def spectral_max(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     # |<d, a_j>| <= RANK_RTOL for each of a's N orthonormal eigenvectors
     # (each accepted or rejected within RANK_RTOL of that range), so
     # sum_j |<d, a_j>|^2 <= N RANK_RTOL^2 < 1, yet that sum is |d|^2 = 1
-    return HermitianMatrix.from_spectrum(out_vals, basis)
+    _check_orthonormal(basis, 1e-8, "eigenvector columns")
+    return HermitianMatrix._assemble(out_vals, basis)
 
 
 def spectral_min(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
@@ -587,27 +634,28 @@ def haar_orthogonal(n: int, seed: int, *path: int, complex_field: bool = False) 
     QR of a Gaussian with the diagonal phase of R pushed back into Q,
     which is what makes the distribution exactly Haar.
     """
+    n, seed = _order(n, "dimension N", 1), _order(seed, "seed", 0)
     rng = rng_from_seed(seed, *path)
     g = rng.standard_normal((n, n))
     if complex_field:
         g = (g + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-    q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    tau = _householder(g)
+    return _householder_q(g, tau, phases=True)
 
 
 def haar_projection(n: int, r: int, seed: int, *path: int) -> Projection:
     """Projection onto the span of an orthonormalized N x r Gaussian: its
     reduced Householder Q, orthonormal by construction, so the basis
     takes no Gram check."""
-    n, r = _order(n, "dimension N", 1), _order(r, "projection rank r", 0)
+    n, r, seed = (_order(n, "dimension N", 1), _order(r, "projection rank r", 0),
+                  _order(seed, "seed", 0))
     if r > n:
         raise CdfError(f"projection rank must satisfy 0 <= r <= N = {n}, got {r}")
     if r == 0:
         return Projection.zero(n)
-    rng = rng_from_seed(seed, *path)
-    q, _ = np.linalg.qr(rng.standard_normal((n, r)))
-    return Projection._from_householder(q)
+    g = rng_from_seed(seed, *path).standard_normal((n, r))
+    tau = _householder(g)
+    return Projection._from_householder(_householder_q(g, tau))
 
 
 def haar_conjugate(

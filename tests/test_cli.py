@@ -586,13 +586,18 @@ def test_a_law_parameter_that_is_no_json_number_is_a_law_error(capsys, field):
         # the starved "dust" atom raises a UserWarning, which must not reach stderr
         (["poisson", "--partition", "part.json", "--subsets", "big", "--N", "64",
           "--trials", "1", "--seed", "1", "--out", "missing/r.json"], (EXIT_INPUT,)),
+        # JSON nested deeper than the decoder's recursion limit
+        (["law", "--law", "[" * 100_000], (EXIT_LAW,)),
+        (["poisson", "--partition", "deep.json", "--subsets", "big", "--N", "64",
+          "--seed", "1", "--out", "r.json"], (EXIT_INPUT,)),
     ],
     ids=["empty_matrix", "non_numeric_shape", "infinite_mp_shape", "infinite_mean",
-         "starved_atom_warning"],
+         "starved_atom_warning", "deep_law_json", "deep_partition_json"],
 )
 def test_errors_are_one_json_object_without_traceback(tmp_path, argv, codes):
     atoms = [{"id": "big", "mass": 0.5}, {"id": "dust", "mass": 0.001}]
     (tmp_path / "part.json").write_text(json.dumps({"atoms": atoms}))
+    (tmp_path / "deep.json").write_text("[" * 100_000)
     src = os.path.dirname(os.path.dirname(freemax.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-m", "freemax", *argv], cwd=tmp_path,

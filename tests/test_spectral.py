@@ -468,6 +468,92 @@ def test_range_contains_uses_the_sine_tolerance():
         assert range_contains(outer, Projection(v[:, None])) is inside
 
 
+def _gaussian(shape, seed, complex_field):
+    rng = rng_from_seed(seed, 7)
+    g = rng.standard_normal(shape)
+    return g + 1j * rng.standard_normal(shape) if complex_field else g
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 31, 64, 200, 256, 400])
+def test_householder_helpers_are_numpy_qr_bit_for_bit(n, complex_field):
+    from freemax.spectral import _householder, _householder_q
+
+    for r in sorted({1, max(1, n // 3), n}):
+        g = _gaussian((n, r), 100 * n + r, complex_field)
+        h, tau_ref = np.linalg.qr(g, mode="raw")
+        q_ref, r_ref = np.linalg.qr(g)
+        a = g.copy()
+        tau = _householder(a)
+        assert tau.tobytes() == tau_ref.tobytes()
+        assert a.tobytes() == h.T.tobytes()
+        assert np.diagonal(a).tobytes() == np.diagonal(r_ref).tobytes()
+        assert _householder_q(a, tau).tobytes() == q_ref.tobytes()
+        diag = np.diagonal(r_ref)
+        phased = q_ref * (diag / np.abs(diag))
+        for k in sorted({1, r // 2, r} - {0}):
+            q = _householder_q(a, tau, k, phases=True)
+            assert q.shape == (n, k) and q.tobytes() == phased[:, :k].tobytes()
+        # forming Q leaves the factorization as it was
+        assert a.tobytes() == h.T.tobytes()
+
+
+def test_householder_runs_under_numpy_qrs_floating_point_state(monkeypatch):
+    import freemax.spectral as spectral
+
+    def flagging(gufunc, flag):
+        def run(*args, **kwargs):
+            big, tiny = np.float64(1e308), np.float64(5e-324)
+            {"over": lambda: big * big, "under": lambda: tiny * tiny,
+             "divide": lambda: big / np.float64(0.0),
+             "invalid": lambda: np.float64(np.inf) - np.float64(np.inf)}[flag]()
+            return gufunc(*args, **kwargs)
+        return run
+
+    expected = haar_orthogonal(4, 1)
+    for name in ("_GEQRF", "_ORGQR"):
+        gufunc = getattr(spectral, name)
+        for flag in ("over", "under", "divide", "invalid"):
+            monkeypatch.setattr(spectral, name, flagging(gufunc, flag))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if flag == "invalid":  # a failed factorization raises, as in np.linalg.qr
+                    with pytest.raises(np.linalg.LinAlgError, match="QR factorization"):
+                        haar_orthogonal(4, 1)
+                else:  # LAPACK's overflow, underflow and division flags are quiet
+                    assert haar_orthogonal(4, 1).tobytes() == expected.tobytes()
+        monkeypatch.setattr(spectral, name, gufunc)
+
+
+def test_householder_refuses_to_factor_a_cast_copy():
+    from freemax.spectral import _householder
+
+    for dtype in (np.float32, np.complex64, np.int64):
+        with pytest.raises(TypeError):
+            _householder(np.eye(3, dtype=dtype))
+
+
+@pytest.mark.parametrize("n,seed", [(2.5, 1), (4, -1), (0, 1), (4, 1.5), (math.nan, 1)])
+def test_haar_samplers_refuse_bad_orders_and_seeds(n, seed):
+    with pytest.raises(CdfError):
+        haar_orthogonal(n, seed)
+    with pytest.raises(CdfError):
+        haar_projection(n, 1, seed)
+
+
+def test_sorted_spectra_keep_their_vectors_and_from_spectrum_copies():
+    a, _ = _random_pair(20, 821)
+    vecs = a.eigenvectors
+    assert np.shares_memory(a.shifted(1.0).eigenvectors, vecs)
+    assert not np.shares_memory(a.neg().eigenvectors, vecs)
+    for values in (np.arange(20.0), np.arange(20.0)[::-1].copy()):  # kept as views, gathered
+        basis = vecs.copy()
+        m = HermitianMatrix.from_spectrum(values, basis)
+        assert not np.shares_memory(m.eigenvalues, values)
+        assert not np.shares_memory(m.eigenvectors, basis)
+        assert m.eigenvectors.tobytes() == basis[:, np.argsort(values)].tobytes()
+
+
 def test_haar_projection_edges():
     assert haar_projection(8, 0, 1).rank == 0
     full = haar_projection(8, 8, 1)
@@ -726,23 +812,24 @@ def test_eigenvalue_only_callers_factor_once_and_form_no_q(monkeypatch):
     import freemax.spectral as spectral
 
     a, b = _random_pair(60, 817)
-    qr_calls = _count_calls(monkeypatch, np.linalg, "qr")
+    factorizations = _count_calls(monkeypatch, spectral, "_householder")
+    q_forms = _count_calls(monkeypatch, spectral, "_householder_q")
     checks = _count_calls(monkeypatch, spectral, "_check_orthonormal")
     top = spectral_max(a, b)
     low = spectral_min(a, b)
     assert not spectral_leq(a, b) and not spectral_leq(b, a)
-    # one raw factorization per sup, those of spectral_leq included
-    assert [c.get("mode") for c in qr_calls] == ["raw"] * 4
+    # one factorization per sup, those of spectral_leq included, and no Q
+    assert len(factorizations) == 4 and not q_forms
     assert not checks
     derived = low.shifted(1.0)
     assert "eigenvectors" not in vars(low) and "eigenvectors" not in vars(top)
     vecs = derived.eigenvectors
-    # reading forms Q once, a Householder Q that takes no Gram check; the
-    # parent keeps the result
-    assert [c.get("mode") for c in qr_calls[4:]] == [None]
+    # reading forms Q once, from the kept factorization: no second one, and
+    # a Householder Q takes no Gram check; the parent keeps the result
+    assert len(q_forms) == 1 and q_forms[0] == {"phases": True}
     assert "eigenvectors" in vars(low) and derived.eigenvectors is vecs
     low.array, derived.array, top.eigenvalues
-    assert len(qr_calls) == 5 and not checks
+    assert len(factorizations) == 4 and len(q_forms) == 1 and not checks
 
 
 def test_sweep_path_forms_and_checks_its_vectors_at_once(monkeypatch):
